@@ -13,9 +13,9 @@
 // Identity contract: blocks cover disjoint pixel rectangles, and
 // HostScalarBackend::sweep_block runs exactly the plan executor's scalar
 // sweep — so any assignment of blocks to scalar backends (one or many)
-// produces output byte-identical to the PR 3 single-executor path. The
-// SIMD and offload backends change the within-pixel arithmetic (documented
-// >70 dB parity) and are opt-in per request path.
+// produces output byte-identical to service::execute_plan. The SIMD
+// backend — the service's default — changes the within-pixel arithmetic
+// (documented >70 dB parity against execute_plan).
 //
 // Instrumentation (per configured registry):
 //   counters   backend.<name>.sweeps

@@ -207,6 +207,11 @@ exec::GroupPtr make_plan_replay_group(
   ensure(pulse_begin >= 0 && pulse_begin <= pulse_end &&
              pulse_end <= plan->num_pulses(),
          "make_plan_replay_group: bad pulse range");
+  if (backends == nullptr) {
+    // One host scalar backend: execute_plan's sweep, spread over tasks.
+    backends = std::make_shared<exec::BackendSet>(
+        std::vector<exec::BackendSpec>(1), 0.5, nullptr);
+  }
 
   const Index nblocks = static_cast<Index>(plan->blocks.size());
   // ~2 tasks per worker so thieves always find a remainder to take, but
@@ -219,14 +224,33 @@ exec::GroupPtr make_plan_replay_group(
   std::vector<exec::TaskGroup::Task> tasks;
   tasks.reserve(static_cast<std::size_t>(fanout));
 
-  if (backends == nullptr) {
-    // Direct scalar-sweep path, exactly as before backends existed.
-    for (Index ti = 0; ti < fanout; ++ti) {
-      const Index b0 = bp::split_begin(nblocks, fanout, ti);
-      const Index b1 = bp::split_begin(nblocks, fanout, ti + 1);
-      tasks.push_back([plan, history, tile, checkpoint, b0, b1, pulse_begin,
-                       pulse_end](int, exec::TaskGroup& group) {
-        const Index samples = history->samples_per_pulse();
+  // Backend routing (§5.3): each backend owns a contiguous block range
+  // sized by the current dynamic split, sub-divided into tasks in
+  // proportion to its share of the fan-out. Each task times its whole
+  // sweep and feeds the backend's observed-rate tracker, which steers
+  // the *next* job's partition.
+  const std::vector<Index> bounds = backends->partition(nblocks);
+  const Index pulses = pulse_end - pulse_begin;
+  for (int k = 0; k < backends->size(); ++k) {
+    const Index k0 = bounds[static_cast<std::size_t>(k)];
+    const Index k1 = bounds[static_cast<std::size_t>(k) + 1];
+    if (k0 >= k1) continue;
+    const Index kblocks = k1 - k0;
+    const Index ktasks = std::clamp<Index>(
+        static_cast<Index>(std::llround(static_cast<double>(fanout) *
+                                        static_cast<double>(kblocks) /
+                                        static_cast<double>(nblocks))),
+        1, kblocks);
+    for (Index ti = 0; ti < ktasks; ++ti) {
+      const Index b0 = k0 + bp::split_begin(kblocks, ktasks, ti);
+      const Index b1 = k0 + bp::split_begin(kblocks, ktasks, ti + 1);
+      exec::TileBackend* backend = &backends->backend(k);
+      tasks.push_back([plan, history, tile, checkpoint, backends, backend,
+                       b0, b1, pulse_begin, pulse_end,
+                       pulses](int, exec::TaskGroup& group) {
+        const exec::PlanView view = plan_view(*plan);
+        Timer timer;
+        double backprojections = 0.0;
         for (Index b = b0; b < b1; ++b) {
           // Same granularity as execute_plan: one cancellation poll per
           // block sweep, not per task.
@@ -235,65 +259,14 @@ exec::GroupPtr make_plan_replay_group(
             return;
           }
           const auto& block = plan->blocks[static_cast<std::size_t>(b)];
-          const Index bx = block.x0 - plan->key.region.x0;
-          const Index by = block.y0 - plan->key.region.y0;
-          for (Index p = pulse_begin; p < pulse_end; ++p) {
-            const bool x_inner =
-                plan->pulse_order[static_cast<std::size_t>(p)] ==
-                geometry::LoopOrder::kXInner;
-            const Index len_l = x_inner ? block.width : block.height;
-            const Index len_m = x_inner ? block.height : block.width;
-            bp::asr_sweep_block(
-                plan->tables_for(static_cast<std::size_t>(b), p),
-                history->pulse(p).data(), samples, x_inner, bx, by, len_l,
-                len_m, *tile);
-          }
+          backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
+                               *tile);
+          backprojections += static_cast<double>(block.width) *
+                             static_cast<double>(block.height) *
+                             static_cast<double>(pulses);
         }
+        backend->record(backprojections, timer.seconds());
       });
-    }
-  } else {
-    // Backend routing (§5.3): each backend owns a contiguous block range
-    // sized by the current dynamic split, sub-divided into tasks in
-    // proportion to its share of the fan-out. Each task times its whole
-    // sweep and feeds the backend's observed-rate tracker, which steers
-    // the *next* job's partition.
-    const std::vector<Index> bounds = backends->partition(nblocks);
-    const Index pulses = pulse_end - pulse_begin;
-    for (int k = 0; k < backends->size(); ++k) {
-      const Index k0 = bounds[static_cast<std::size_t>(k)];
-      const Index k1 = bounds[static_cast<std::size_t>(k) + 1];
-      if (k0 >= k1) continue;
-      const Index kblocks = k1 - k0;
-      const Index ktasks = std::clamp<Index>(
-          static_cast<Index>(std::llround(static_cast<double>(fanout) *
-                                          static_cast<double>(kblocks) /
-                                          static_cast<double>(nblocks))),
-          1, kblocks);
-      for (Index ti = 0; ti < ktasks; ++ti) {
-        const Index b0 = k0 + bp::split_begin(kblocks, ktasks, ti);
-        const Index b1 = k0 + bp::split_begin(kblocks, ktasks, ti + 1);
-        exec::TileBackend* backend = &backends->backend(k);
-        tasks.push_back([plan, history, tile, checkpoint, backends, backend,
-                         b0, b1, pulse_begin, pulse_end,
-                         pulses](int, exec::TaskGroup& group) {
-          const exec::PlanView view = plan_view(*plan);
-          Timer timer;
-          double backprojections = 0.0;
-          for (Index b = b0; b < b1; ++b) {
-            if (checkpoint && !checkpoint()) {
-              group.abort();
-              return;
-            }
-            const auto& block = plan->blocks[static_cast<std::size_t>(b)];
-            backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
-                                 *tile);
-            backprojections += static_cast<double>(block.width) *
-                               static_cast<double>(block.height) *
-                               static_cast<double>(pulses);
-          }
-          backend->record(backprojections, timer.seconds());
-        });
-      }
     }
   }
 

@@ -8,9 +8,9 @@
 // per-pulse loop order (wavefront orientation), and the per-(block, pulse)
 // strength-reduction tables of paper Fig. 3(b) line 02. Building those
 // tables is the per-request setup cost; replaying a cached plan skips it
-// entirely, and because the executor drives the same inner sweep as the
-// scalar kernel (kernel_asr_block.h) the image is bit-identical to the
-// streaming path.
+// entirely. execute_plan drives the same inner sweep as the scalar kernel
+// (kernel_asr_block.h), so its image is bit-identical to the streaming
+// path; the service's default host SIMD replay agrees with it at > 70 dB.
 //
 // Cache keying: (grid geometry, region, ASR block size, pulse-geometry
 // signature). The signature hashes per-pulse positions/start ranges plus
@@ -94,9 +94,11 @@ struct FormationPlan {
     Index block_h, const sim::PhaseHistory& history);
 
 /// Replays a plan over `history`, accumulating into `tile` (shaped like the
-/// plan's region). `checkpoint` runs before every block sweep; returning
-/// false aborts the replay (cooperative cancellation / deadline expiry) and
-/// the partially-formed tile must be discarded. Returns true on completion.
+/// plan's region), on the calling thread with the scalar sweep — the anchor
+/// every scalar backend set is byte-identical to. `checkpoint` runs before
+/// every block sweep; returning false aborts the replay (cooperative
+/// cancellation / deadline expiry) and the partially-formed tile must be
+/// discarded. Returns true on completion.
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
                   bp::SoaTile& tile, const std::function<bool()>& checkpoint);
 
@@ -104,9 +106,9 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 /// plan's blocks are split into contiguous block-range tasks that all
 /// sweep into the shared region-sized `tile`. Blocks cover disjoint pixel
 /// rectangles, so concurrent tasks never write the same element and the
-/// result is byte-identical to a serial execute_plan() no matter how tasks
-/// are scheduled or stolen — the accumulation order per pixel is always
-/// the plan's pulse order within that pixel's block.
+/// result does not depend on how tasks are scheduled or stolen — the
+/// accumulation order per pixel is always the plan's pulse order within
+/// that pixel's block.
 ///
 /// `checkpoint` keeps execute_plan's granularity: it is polled before
 /// every block sweep (inside tasks) and again before each task starts
@@ -125,9 +127,9 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 /// `backends` (nullable) routes the plan's blocks across a BackendSet by
 /// its §5.3 dynamic split: each backend gets a contiguous block range,
 /// sub-divided into tasks proportional to its share, and each task's
-/// measured sweep feeds the backend's observed-rate tracker. Null keeps
-/// the direct scalar-sweep path — the exact PR 3 code — and a set holding
-/// only scalar backends is still byte-identical to it (disjoint block
+/// measured sweep feeds the backend's observed-rate tracker. Null means
+/// one HostScalarBackend (metrics in the global registry); any set of
+/// only scalar backends is byte-identical to execute_plan (disjoint block
 /// rectangles; same per-block pulse order).
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,

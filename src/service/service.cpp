@@ -18,6 +18,10 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
   ensure(config_.workers > 0, "ImageFormationService: workers must be positive");
   ensure(config_.max_pending > 0,
          "ImageFormationService: max_pending must be positive");
+  ensure(!config_.backends.empty(),
+         "ImageFormationService: at least one tile backend");
+  backend_set_ = std::make_shared<exec::BackendSet>(
+      config_.backends, config_.backend_rate_smoothing, metrics_);
 
   FairSchedulerConfig sched_config;
   sched_config.max_pending = config_.max_pending;
@@ -47,13 +51,10 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
     router_config.shard_fault_hook = config_.shard_fault_hook;
     router_config.metrics = metrics_;
     router_config.plan_cache = &plan_cache_;
+    router_config.backends = backend_set_;
     router_ = std::make_unique<ShardRouter>(std::move(router_config));
     route_thread_ = std::thread([this] { route_loop(); });
   } else {
-    if (!config_.backends.empty()) {
-      backend_set_ = std::make_shared<exec::BackendSet>(
-          config_.backends, config_.backend_rate_smoothing, metrics_);
-    }
     exec::ExecOptions exec_options;
     exec_options.workers = config_.workers;
     exec_options.steal = config_.steal;

@@ -108,14 +108,18 @@ struct ServiceConfig {
   /// outlive the service and every handle it issued.
   obs::Registry* metrics = nullptr;
 
-  // --- tile compute backends (local mode) --------------------------------
-  /// Backends the plan-replay tasks target, with blocks routed by the §5.3
-  /// dynamic split from observed per-backend rates (exec/tile_backend.h).
-  /// Empty keeps the direct scalar-sweep path — byte-identical to the
-  /// pre-backend executor, as is a list holding only kHostScalar entries.
-  /// Ignored in sharded mode (shards >= 2), where the ranks replay plans
-  /// themselves.
-  std::vector<exec::BackendSpec> backends;
+  // --- tile compute backends ---------------------------------------------
+  /// Backends the plan-replay tasks target, locally and on every shard
+  /// rank, with blocks routed by the §5.3 dynamic split from observed
+  /// per-backend rates (exec/tile_backend.h). Must not be empty. The
+  /// default is one host SIMD backend (widest usable ISA, kernel variant
+  /// auto); a list of only kHostScalar entries is byte-identical to
+  /// execute_plan.
+  std::vector<exec::BackendSpec> backends = [] {
+    exec::BackendSpec simd;
+    simd.kind = exec::BackendSpec::Kind::kHostSimd;
+    return std::vector<exec::BackendSpec>{simd};
+  }();
   /// EMA weight for each backend's observed-rate tracker.
   double backend_rate_smoothing = 0.5;
 
@@ -151,6 +155,7 @@ struct ServiceConfig {
 ///              tenant.<t>.latency_s, shard.job.gather_s
 ///   queues     queue.service.gather.* (sharded mode)
 ///   executors  exec.* (local mode) / shard.<k>.exec.* (per shard rank)
+///   backends   backend.<name>.* (see exec/tile_backend.h)
 ///   plan cache service.plan_cache.* (see plan_cache.h)
 class ImageFormationService {
  public:
@@ -215,8 +220,8 @@ class ImageFormationService {
   obs::Histogram* setup_s_ = nullptr;
   obs::Histogram* compute_s_ = nullptr;
 
-  /// Null unless config_.backends is non-empty (local mode); shared with
-  /// every plan-replay group so observed rates outlive individual jobs.
+  /// Built from config_.backends; shared with every plan-replay group
+  /// (local and shard ranks) so observed rates outlive individual jobs.
   std::shared_ptr<exec::BackendSet> backend_set_;
 
   /// Constructed last: their workers claim from sched_ and touch every

@@ -75,6 +75,7 @@ ShardRouter::ShardRouter(ShardRouterConfig config)
   ensure(config_.shard_workers >= 1,
          "ShardRouter: shard_workers must be positive");
   ensure(config_.plan_cache != nullptr, "ShardRouter: plan cache required");
+  ensure(config_.backends != nullptr, "ShardRouter: backend set required");
   if constexpr (obs::kEnabled) {
     jobs_single_ = &metrics_->counter("shard.jobs.single");
     jobs_pulse_scatter_ = &metrics_->counter("shard.jobs.pulse_scatter");
@@ -329,7 +330,7 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
     auto group = make_plan_replay_group(
         std::move(plan), request.pulses, config_.shard_workers,
         config_.tile_tasks, tile, std::move(checkpoint), nullptr,
-        part.pulse_begin, part.pulse_end);
+        part.pulse_begin, part.pulse_end, config_.backends);
     exec.run(group);
     header.compute_seconds = compute_timer.seconds();
     {

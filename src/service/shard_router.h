@@ -50,6 +50,7 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "exec/executor.h"
+#include "exec/tile_backend.h"
 #include "obs/metrics.h"
 #include "service/job.h"
 #include "service/plan_cache.h"
@@ -91,6 +92,9 @@ struct ShardRouterConfig {
   obs::Registry* metrics = nullptr;
   /// Shared formation-plan cache (the service's); must outlive the router.
   PlanCache* plan_cache = nullptr;
+  /// Tile backends every rank's plan replay targets (the service's set,
+  /// so shard ranks sweep with the same engine as the local path).
+  std::shared_ptr<exec::BackendSet> backends;
 };
 
 class ShardRouter {

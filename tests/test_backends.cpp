@@ -1,16 +1,20 @@
 // Tile compute backends and the §5.3 block router: scalar-backend sweeps
-// are byte-identical to the plan executor (null-backends path), the SIMD
-// backend agrees at SNR level, the BackendSet's split moves from
-// capability priors to observed rates, partition() boundaries are sound,
-// and the service routed end-to-end through ServiceConfig::backends stays
-// byte-identical to the legacy path for scalar-only sets.
+// are byte-identical to the plan executor, the SIMD backend agrees at SNR
+// level, the BackendSet's split moves from capability priors to observed
+// rates, partition() boundaries are sound, and the service routed
+// end-to-end through ServiceConfig::backends is byte-identical to
+// service::execute_plan for scalar-only sets, runs the host SIMD backend
+// by default, and rejects an empty backend list.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "backprojection/kernel.h"
+#include "common/check.h"
 #include "common/snr.h"
 #include "exec/tile_backend.h"
 #include "service/plan_cache.h"
@@ -187,20 +191,29 @@ ImageFormationRequest request_for(const PlanFixture& f) {
   return req;
 }
 
-Grid2D<CFloat> form_via_service(const PlanFixture& f,
-                                std::vector<exec::BackendSpec> backends,
-                                int workers = 2) {
+Grid2D<CFloat> form_via_service(const PlanFixture& f, ServiceConfig sc) {
   obs::Registry reg;
-  ServiceConfig sc;
-  sc.workers = workers;
-  sc.metrics = &reg;
-  sc.backends = std::move(backends);
-  ImageFormationService service(sc);
+  if (sc.metrics == nullptr) sc.metrics = &reg;
+  ImageFormationService service(std::move(sc));
   auto outcome = service.submit(request_for(f));
   EXPECT_TRUE(outcome.admitted());
   const JobResult& result = outcome.handle->wait();
   EXPECT_EQ(result.state, JobState::kDone) << result.error;
   return result.image;
+}
+
+Grid2D<CFloat> form_via_service(const PlanFixture& f,
+                                std::vector<exec::BackendSpec> backends) {
+  ServiceConfig sc;
+  sc.backends = std::move(backends);
+  return form_via_service(f, std::move(sc));
+}
+
+/// The single-thread scalar anchor: the plan replayed by execute_plan.
+Grid2D<CFloat> form_via_execute_plan(const PlanFixture& f) {
+  bp::SoaTile tile(f.region.width, f.region.height);
+  EXPECT_TRUE(service::execute_plan(*f.plan, *f.pulses, tile, nullptr));
+  return grid_of(tile);
 }
 
 bool images_equal(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
@@ -212,13 +225,13 @@ bool images_equal(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
   return true;
 }
 
-TEST(ServiceBackends, ScalarBackendSetIsByteIdenticalToLegacyPath) {
+TEST(ServiceBackends, ScalarBackendSetIsByteIdenticalToExecutePlan) {
   const PlanFixture f = make_plan_fixture();
-  const Grid2D<CFloat> legacy = form_via_service(f, {});
+  const Grid2D<CFloat> anchor = form_via_execute_plan(f);
 
   exec::BackendSpec scalar;  // kHostScalar
   const Grid2D<CFloat> routed = form_via_service(f, {scalar});
-  EXPECT_TRUE(images_equal(legacy, routed));
+  EXPECT_TRUE(images_equal(anchor, routed));
 
   // Several scalar backends partition the block range differently but
   // sweep disjoint pixel rectangles with the same per-block pulse order —
@@ -226,18 +239,41 @@ TEST(ServiceBackends, ScalarBackendSetIsByteIdenticalToLegacyPath) {
   exec::BackendSpec second;
   second.name = "scalar2";
   const Grid2D<CFloat> split2 = form_via_service(f, {scalar, second});
-  EXPECT_TRUE(images_equal(legacy, split2));
+  EXPECT_TRUE(images_equal(anchor, split2));
 }
 
-TEST(ServiceBackends, SimdBackendMatchesLegacyAtSnrLevel) {
+TEST(ServiceBackends, SimdBackendMatchesExecutePlanAtSnrLevel) {
   if (!bp::asr_simd_available()) GTEST_SKIP() << "no vector ISA usable";
   const PlanFixture f = make_plan_fixture();
-  const Grid2D<CFloat> legacy = form_via_service(f, {});
+  const Grid2D<CFloat> anchor = form_via_execute_plan(f);
+  const Grid2D<CFloat> routed = form_via_service(f, ServiceConfig{});
+  EXPECT_GT(snr_db(routed, anchor), 70.0);
+}
 
-  exec::BackendSpec simd;
-  simd.kind = exec::BackendSpec::Kind::kHostSimd;
-  const Grid2D<CFloat> routed = form_via_service(f, {simd});
-  EXPECT_GT(snr_db(routed, legacy), 70.0);
+TEST(ServiceBackends, DefaultServiceRunsSimdBackend) {
+  const PlanFixture f = make_plan_fixture();
+  obs::Registry reg;
+  ServiceConfig sc;
+  sc.metrics = &reg;
+  const Grid2D<CFloat> image = form_via_service(f, sc);
+  if constexpr (obs::kEnabled) {
+    const std::string name = std::string("backend.simd-") +
+                             bp::simd_isa_name(bp::asr_resolve_isa(
+                                 bp::SimdIsa::kAuto)) +
+                             ".sweeps";
+    EXPECT_GE(reg.counter(name).value(), 1) << name;
+  }
+  // Without a vector ISA the SIMD backend resolves to kScalar, whose
+  // plan sweep degrades to asr_sweep_block: byte-identical to the anchor.
+  if (!bp::asr_simd_available()) {
+    EXPECT_TRUE(images_equal(form_via_execute_plan(f), image));
+  }
+}
+
+TEST(ServiceBackends, EmptyBackendListIsRejected) {
+  ServiceConfig sc;
+  sc.backends.clear();
+  EXPECT_THROW(ImageFormationService{sc}, PreconditionError);
 }
 
 TEST(ServiceBackends, MixedSetAdaptsSplitAcrossJobs) {

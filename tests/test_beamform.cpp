@@ -3,8 +3,10 @@
 // accuracy, block-size behaviour, and the structural speed claim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 
 #include "beamform/beamformer.h"
 #include "beamform/simulator.h"
@@ -115,12 +117,18 @@ TEST(Beamform, AsrFasterThanBaseline) {
   const auto phantom = random_phantom(region, 200, rng);
   const auto data = simulate_channels(t, region, phantom);
 
-  Timer t_base;
-  const auto baseline = beamform_baseline(t, region, data);
-  const double base_s = t_base.seconds();
-  Timer t_asr;
-  const auto asr = beamform_asr(t, region, data);
-  const double asr_s = t_asr.seconds();
+  // Best of 5 interleaved runs each, so a burst of load from other
+  // processes cannot land on only one kernel's single sample.
+  double base_s = std::numeric_limits<double>::infinity();
+  double asr_s = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 5; ++rep) {
+    Timer t_base;
+    const auto baseline = beamform_baseline(t, region, data);
+    base_s = std::min(base_s, t_base.seconds());
+    Timer t_asr;
+    const auto asr = beamform_asr(t, region, data);
+    asr_s = std::min(asr_s, t_asr.seconds());
+  }
   EXPECT_LT(asr_s, base_s);
 }
 

@@ -59,21 +59,39 @@ Grid2D<CFloat> form_once(ServiceConfig sc, const Fixture& f,
   return result.image;
 }
 
+/// The backend lists every local-vs-sharded identity test runs under: the
+/// default (host SIMD) and the byte-identity scalar anchor.
+std::vector<std::vector<exec::BackendSpec>> backend_lists() {
+  return {ServiceConfig{}.backends, {exec::BackendSpec{}}};
+}
+
+const char* list_name(const std::vector<exec::BackendSpec>& backends) {
+  return backends.front().kind == exec::BackendSpec::Kind::kHostSimd
+             ? "simd"
+             : "scalar";
+}
+
 TEST(ClusterService, SingleShardJobsAreByteIdenticalToLocal) {
   // A job under the small-job threshold routes whole to one shard, whose
-  // worker builds the same full-region plan the local path would; the
-  // gathered tile must match the single-node image byte for byte.
+  // worker builds the same full-region plan the local path would and
+  // sweeps it with the same backends; the gathered tile must match the
+  // single-node image byte for byte.
   const Fixture f = make_fixture(32, 12);
 
-  ServiceConfig local;
-  local.workers = 1;
-  const Grid2D<CFloat> reference = form_once(local, f);
+  for (const auto& backends : backend_lists()) {
+    SCOPED_TRACE(list_name(backends));
+    ServiceConfig local;
+    local.workers = 1;
+    local.backends = backends;
+    const Grid2D<CFloat> reference = form_once(local, f);
 
-  ServiceConfig sharded;
-  sharded.shards = 2;  // 32*32 = 1024 <= shard_small_pixels: single-shard
-  const Grid2D<CFloat> image = form_once(sharded, f);
+    ServiceConfig sharded;
+    sharded.shards = 2;  // 32*32 = 1024 <= shard_small_pixels: single-shard
+    sharded.backends = backends;
+    const Grid2D<CFloat> image = form_once(sharded, f);
 
-  EXPECT_TRUE(image == reference);
+    EXPECT_TRUE(image == reference);
+  }
 }
 
 TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
@@ -83,17 +101,45 @@ TEST(ClusterService, GridSplitIsBitIdenticalToLocal) {
   // all, hence exact equality.
   const Fixture f = make_fixture(48, 12);
 
-  ServiceConfig local;
-  local.workers = 1;
-  const Grid2D<CFloat> reference = form_once(local, f);
+  for (const auto& backends : backend_lists()) {
+    SCOPED_TRACE(list_name(backends));
+    ServiceConfig local;
+    local.workers = 1;
+    local.backends = backends;
+    const Grid2D<CFloat> reference = form_once(local, f);
 
+    ServiceConfig sharded;
+    sharded.shards = 2;
+    sharded.shard_small_pixels = 16;  // force the splitter for this job
+    sharded.shard_strategy = ShardStrategy::kGridSplit;
+    sharded.backends = backends;
+    const Grid2D<CFloat> image = form_once(sharded, f);
+
+    EXPECT_TRUE(image == reference);
+  }
+}
+
+TEST(ClusterService, ShardRanksSweepWithConfiguredBackends) {
+  // The ranks replay with the service's BackendSet, not a private default:
+  // a simulated-coprocessor backend's sweep counter rises on a grid-split
+  // job.
+  const Fixture f = make_fixture(48, 12);
+  exec::BackendSpec knc;
+  knc.kind = exec::BackendSpec::Kind::kOffloadSim;
+  knc.name = "knc";
+
+  obs::Registry reg;
   ServiceConfig sharded;
   sharded.shards = 2;
-  sharded.shard_small_pixels = 16;  // force the splitter for this job
+  sharded.shard_small_pixels = 16;
   sharded.shard_strategy = ShardStrategy::kGridSplit;
-  const Grid2D<CFloat> image = form_once(sharded, f);
-
-  EXPECT_TRUE(image == reference);
+  sharded.backends = {knc};
+  sharded.metrics = &reg;
+  form_once(sharded, f);
+  if constexpr (obs::kEnabled) {
+    EXPECT_GE(reg.counter("backend.knc.sweeps").value(), 1);
+    EXPECT_GE(reg.counter("shard.jobs.grid_split").value(), 1);
+  }
 }
 
 TEST(ClusterService, PulseScatterMatchesLocalWithinReductionTolerance) {
@@ -102,17 +148,22 @@ TEST(ClusterService, PulseScatterMatchesLocalWithinReductionTolerance) {
   // agree to reduction precision (documented in DESIGN.md), not bytes.
   const Fixture f = make_fixture(48, 12);
 
-  ServiceConfig local;
-  local.workers = 1;
-  const Grid2D<CFloat> reference = form_once(local, f);
+  for (const auto& backends : backend_lists()) {
+    SCOPED_TRACE(list_name(backends));
+    ServiceConfig local;
+    local.workers = 1;
+    local.backends = backends;
+    const Grid2D<CFloat> reference = form_once(local, f);
 
-  ServiceConfig sharded;
-  sharded.shards = 2;
-  sharded.shard_small_pixels = 16;
-  sharded.shard_strategy = ShardStrategy::kPulseScatter;
-  const Grid2D<CFloat> image = form_once(sharded, f);
+    ServiceConfig sharded;
+    sharded.shards = 2;
+    sharded.shard_small_pixels = 16;
+    sharded.shard_strategy = ShardStrategy::kPulseScatter;
+    sharded.backends = backends;
+    const Grid2D<CFloat> image = form_once(sharded, f);
 
-  EXPECT_GT(snr_db(image, reference), 70.0);
+    EXPECT_GT(snr_db(image, reference), 70.0);
+  }
 }
 
 TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {

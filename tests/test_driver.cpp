@@ -4,7 +4,9 @@
 // breakdown instrumentation, and the empirical gather-locality counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "backprojection/accumulator.h"
 #include "backprojection/backprojector.h"
@@ -259,11 +261,19 @@ TEST(Breakdown, AsrFasterThanBaseline) {
   cfg.pulses = 16;
   const SmallScenario s = make_scenario(cfg);
   const Region all{0, 0, s.grid.width(), s.grid.height()};
-  const BaselineBreakdown base = measure_baseline_breakdown(
-      s.history, s.grid, all, 0, s.history.num_pulses());
-  const AsrBreakdown asr = measure_asr_breakdown(s.history, s.grid, all, 0,
-                                                 s.history.num_pulses(), 64, 64);
-  EXPECT_LT(asr.total_s, base.total_s);
+  // Best of 5 interleaved runs each, so a burst of load from other
+  // processes cannot land on only one kernel's single sample.
+  double base_s = std::numeric_limits<double>::infinity();
+  double asr_s = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 5; ++rep) {
+    const BaselineBreakdown base = measure_baseline_breakdown(
+        s.history, s.grid, all, 0, s.history.num_pulses());
+    base_s = std::min(base_s, base.total_s);
+    const AsrBreakdown asr = measure_asr_breakdown(
+        s.history, s.grid, all, 0, s.history.num_pulses(), 64, 64);
+    asr_s = std::min(asr_s, asr.total_s);
+  }
+  EXPECT_LT(asr_s, base_s);
 }
 
 TEST(Locality, ReorderingImprovesMeasuredRunLength) {
