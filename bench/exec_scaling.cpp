@@ -1,26 +1,29 @@
-// Tile-executor scaling bench: one backprojection job decomposed into
-// (region-tile x pulse-chunk) tasks by the §4.2 partitioner, run through
-// the work-stealing TileExecutor while sweeping worker count, job size,
-// and steal on/off.
+// Tile-executor scaling bench: one cached formation plan replayed through
+// service::make_plan_replay_group — the task decomposition the service
+// runs — on the work-stealing TileExecutor, sweeping worker count, job size
+// and steal on/off. The backend set is the service's default: one host
+// SIMD backend (runtime ISA dispatch).
 //
 // steal=off is the serial baseline: the whole group runs on the worker
 // that injected it (exactly the pre-executor service behaviour, one job
 // per core). steal=on lets every idle worker converge on the job, so the
 // steal-on/steal-off ratio at each worker count is the intra-job speedup
-// the executor buys. Parity with Backprojector::add_pulses is asserted
-// bit-exactly in tests/test_exec.cpp; this bench only measures time.
+// the executor buys. Scheduling invariance of the replayed image is
+// asserted in tests/test_exec.cpp; this bench only measures time.
 //
 //   exec_scaling [--ix 96,160 --pulses 48 --block 32 --workers 1,2,4
-//                 --min-edge 32 --warmup 1 --repeat 3 --json out.json]
+//                 --warmup 1 --repeat 3 --json out.json]
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/grid2d.h"
 #include "common/timer.h"
 #include "exec/executor.h"
-#include "exec/formation_tasks.h"
+#include "exec/tile_backend.h"
+#include "service/plan_cache.h"
+#include "service/service.h"
 
 namespace {
 
@@ -51,50 +54,51 @@ int main(int argc, char** argv) {
       parse_index_list(args.gets("workers"), {1, 2, 4});
   const Index pulses = args.get("pulses", 48);
   const Index block = args.get("block", 32);
-  const Index min_edge = args.get("min-edge", 32);
   const bench::RepeatSpec spec = bench::repeat_spec(args);
   bench::JsonReporter json("exec_scaling", spec);
 
+  // The service's default set: one host SIMD backend.
+  obs::Registry backend_registry;
+  const auto backends = std::make_shared<exec::BackendSet>(
+      service::ServiceConfig{}.backends, 0.5, &backend_registry);
+
   bench::print_header(
       "tile-executor scaling: workers x job size x steal on/off");
-  std::printf("pulses %lld, ASR block %lld, min region edge %lld, "
-              "warmup %d, repeat %d\n",
+  std::printf("pulses %lld, ASR block %lld, backend %s, warmup %d, "
+              "repeat %d\n",
               static_cast<long long>(pulses), static_cast<long long>(block),
-              static_cast<long long>(min_edge), spec.warmup, spec.repeat);
+              backends->backend(0).name().c_str(), spec.warmup, spec.repeat);
   bench::print_rule();
   std::printf("%6s %8s %6s %11s %11s %8s %8s\n", "image", "workers", "steal",
               "median s", "iqr s", "tasks", "speedup");
   bench::print_rule();
 
   for (const Index image : images) {
-    const auto scenario =
-        bench::make_bench_scenario(image, pulses);
-    bp::BackprojectOptions options;
-    options.kernel = bp::KernelKind::kAsrScalar;
-    options.asr_block_w = block;
-    options.asr_block_h = block;
-    options.min_region_edge = min_edge;
+    auto scenario = bench::make_bench_scenario(image, pulses);
+    const auto history = std::make_shared<const sim::PhaseHistory>(
+        std::move(scenario.history));
+    const auto plan = service::build_formation_plan(
+        scenario.grid, Region{0, 0, image, image}, block, block, *history);
 
     for (const Index workers : workers_list) {
       double serial_median = 0.0;
       for (const bool steal : {false, true}) {
+        obs::Registry registry;
+        exec::ExecOptions exec_options;
+        exec_options.workers = static_cast<int>(workers);
+        exec_options.steal = steal;
+        exec_options.metrics = &registry;
+        exec::TileExecutor executor(std::move(exec_options));
         std::size_t tasks = 0;
         const auto sample = [&]() -> double {
-          Grid2D<CFloat> out(scenario.grid.width(), scenario.grid.height());
-          exec::ExecOptions exec_options;
-          exec_options.workers = static_cast<int>(workers);
-          exec_options.steal = steal;
-          obs::Registry registry;
-          exec_options.metrics = &registry;
-          exec::TileExecutor executor(std::move(exec_options));
-          auto group = exec::make_backprojection_group(
-              scenario.history, scenario.grid, options,
-              static_cast<int>(workers), out);
+          auto tile = std::make_shared<bp::SoaTile>(image, image);
+          auto group = service::make_plan_replay_group(
+              plan, history, static_cast<int>(workers), 0, tile, nullptr,
+              nullptr, 0, -1, backends);
+          tasks = group->size();
           Timer timer;
           executor.run(group);
-          const double seconds = timer.seconds();
-          tasks = registry.counter("exec.tasks.run").value();
-          return seconds;
+          return timer.seconds();
         };
         const bench::SampleStats stats = bench::run_repeated(spec, sample);
         if (!steal) serial_median = stats.median;

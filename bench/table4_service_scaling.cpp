@@ -10,12 +10,13 @@
 //                           --shards 1,2,4 --shard-workers 1
 //                           --warmup 0 --repeat 1 --json out.json]
 //
-// The host interleaves all rank threads on the same cores, so wall-clock
-// speedup is unobservable; like table4_weak_scaling, per-shard efficiency
-// is computed from the gathered critical path (`compute_seconds` is the
-// max over shard parts). Throughput is reported both as completed jobs/s
-// (service view) and modeled Gbp/s = pixels x pulses / critical path
-// (cluster view, every shard running in parallel).
+// All ranks are threads of one process on one machine, so they compete
+// for its cores and memory bandwidth with each other and with the front
+// end; per-shard efficiency is therefore computed from the gathered
+// critical path (`compute_seconds` is the max over shard parts), the
+// cluster view the paper's Table 4 reports. Throughput is reported both as
+// completed jobs/s (service view) and modeled Gbp/s = pixels x pulses /
+// critical path (cluster view, every shard running in parallel).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -148,8 +149,8 @@ int main(int argc, char** argv) {
              "jobs_per_s", sampled);
   }
   bench::print_rule();
-  std::printf("(efficiency: per-shard modeled rate vs the first row; the\n"
-              " in-process cluster shares one machine, so speedup is\n"
-              " critical-path based as in table4_weak_scaling)\n");
+  std::printf("(efficiency: per-shard modeled rate vs the first row, from\n"
+              " the critical path; the in-process ranks share one machine's\n"
+              " cores and memory bandwidth)\n");
   return 0;
 }

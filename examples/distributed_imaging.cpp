@@ -1,23 +1,62 @@
 // Distributed imaging: form one image across a simulated multi-node
-// cluster (the in-process MPI substitute). Demonstrates the cluster API:
-// pulse broadcast, image-dimension-first partitioning (paper §4.2), rank
-// backprojection, and tile gather — plus the communication accounting the
-// weak-scaling analysis builds on.
+// cluster (the in-process MPI substitute). The formation service with
+// `shards = ranks` routes the job through its shard router onto a pool of
+// in-process ranks: the image is cut into per-rank bands (image dimensions
+// first, paper §4.2), each rank replays its band's plan on its own tile
+// executor, and the front end gathers the tiles. The result is compared
+// with a local (single-node) service, followed by the 3D-torus model's
+// communication estimate the weak-scaling analysis builds on.
 //
 // Build & run:  ./build/examples/distributed_imaging [--ranks 4]
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "cluster/distributed.h"
+#include <memory>
+#include <utility>
+
 #include "cluster/torus_model.h"
 #include "common/rng.h"
 #include "common/snr.h"
 #include "geometry/trajectory.h"
+#include "obs/metrics.h"
+#include "service/service.h"
 #include "sim/collector.h"
 #include "sim/scene.h"
+
+namespace {
+
+using namespace sarbp;
+
+/// Forms the whole grid through a service with `shards` ranks (1 = the
+/// local, single-node service).
+service::JobResult form(int shards, const geometry::ImageGrid& grid,
+                        std::shared_ptr<const sim::PhaseHistory> history,
+                        obs::Registry& metrics) {
+  service::ServiceConfig config;
+  config.shards = shards;
+  // Split even this small image across the ranks.
+  config.shard_small_pixels = 0;
+  config.metrics = &metrics;
+  service::ImageFormationService srv(std::move(config));
+  service::ImageFormationRequest request;
+  request.grid = grid;
+  request.pulses = std::move(history);
+  // 32-px ASR blocks give the 128-px image four block rows to band-split.
+  request.asr_block_w = request.asr_block_h = 32;
+  auto outcome = srv.submit(std::move(request));
+  if (!outcome.admitted()) {
+    service::JobResult rejected;
+    rejected.error = "request rejected";
+    return rejected;
+  }
+  return outcome.handle->wait();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sarbp;
@@ -42,31 +81,47 @@ int main(int argc, char** argv) {
   sim::CollectorParams collector;
   const auto history = sim::collect(collector, grid, scene, poses, rng);
 
-  bp::BackprojectOptions options;
-  options.threads = 1;  // each rank is one worker; ranks are the parallelism
-  options.min_region_edge = 32;
-
   std::printf("forming a %lldx%lld image from %lld pulses on %d simulated "
               "ranks...\n",
               static_cast<long long>(image), static_cast<long long>(image),
               static_cast<long long>(pulses), ranks);
 
-  cluster::DistributedReport report;
-  const Grid2D<CFloat> distributed = cluster::distributed_backprojection(
-      ranks, history, grid, options, &report);
+  const auto shared_history =
+      std::make_shared<const sim::PhaseHistory>(history);
+  obs::Registry sharded_metrics;
+  const service::JobResult distributed =
+      form(ranks, grid, shared_history, sharded_metrics);
+  // Single-node baseline for verification.
+  obs::Registry local_metrics;
+  const service::JobResult local = form(1, grid, shared_history, local_metrics);
+  if (distributed.state != service::JobState::kDone ||
+      local.state != service::JobState::kDone) {
+    std::fprintf(stderr, "formation failed: %s%s\n", distributed.error.c_str(),
+                 local.error.c_str());
+    return 1;
+  }
+  const auto flat_a = distributed.image.flat();
+  const auto flat_b = local.image.flat();
+  if (std::equal(flat_a.begin(), flat_a.end(), flat_b.begin())) {
+    std::printf("sharded vs local image parity: bit-identical\n");
+  } else {
+    std::printf("sharded vs local image parity: %.1f dB SNR\n",
+                snr_db(distributed.image, local.image));
+  }
 
-  // Single-rank baseline for verification.
-  const Grid2D<CFloat> single =
-      cluster::distributed_backprojection(1, history, grid, options);
-  std::printf("multi-rank vs single-rank image parity: %.1f dB SNR\n",
-              snr_db(distributed, single));
-
-  std::printf("\ncommunication accounting:\n");
-  std::printf("  pulse broadcast : %.2f MB total\n",
-              report.broadcast_bytes / 1e6);
-  std::printf("  tile gather     : %.2f MB\n", report.gather_bytes / 1e6);
-  std::printf("  critical path   : %.3f s (slowest rank)\n",
-              report.max_rank_compute_s);
+  std::printf("\nshard routing:\n");
+  std::printf("  grid-split jobs     : %llu\n",
+              static_cast<unsigned long long>(
+                  sharded_metrics.counter("shard.jobs.grid_split").value()));
+  std::printf("  pulse-scatter jobs  : %llu\n",
+              static_cast<unsigned long long>(
+                  sharded_metrics.counter("shard.jobs.pulse_scatter").value()));
+  std::printf("  parts dispatched    : %llu\n",
+              static_cast<unsigned long long>(
+                  sharded_metrics.counter("shard.parts.dispatched").value()));
+  std::printf("  critical path       : %.3f s (slowest rank)\n",
+              distributed.compute_seconds);
+  std::printf("  local compute       : %.3f s\n", local.compute_seconds);
 
   // What the interconnect model says this costs at scale.
   const cluster::InterconnectModel net;

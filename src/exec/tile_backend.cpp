@@ -154,8 +154,9 @@ class HostSimdBackend final : public TileBackend {
 /// Simulated coprocessor: the arithmetic physically runs on this host
 /// (scalar sweep, so abort/checkpoint latency stays block-bounded); its
 /// *simulated* time is the measured time rescaled by the device/host
-/// effective-rate ratio, which is what the split adapts to. PCIe framing
-/// costs stay with OffloadRuntime's whole-frame accounting (DESIGN.md §2).
+/// effective-rate ratio, which is what the split adapts to. PCIe time is
+/// not part of a sweep: callers that account whole frames add it with
+/// offload::modeled_transfer_seconds (DESIGN.md §12).
 class OffloadSimBackend final : public TileBackend {
  public:
   OffloadSimBackend(std::string name, offload::DeviceSpec device,

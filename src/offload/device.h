@@ -44,15 +44,16 @@ DeviceSpec knights_corner();
 
 /// Simulated executor time for arithmetic that physically took
 /// `measured_host_seconds` on this machine: rescaled by the ratio of the
-/// host model's effective rate to the device's (DESIGN.md §2). Shared by
-/// OffloadRuntime's frame loop and the exec layer's OffloadSimBackend so
-/// both report the same clock.
+/// host model's effective rate to the device's (DESIGN.md §2). The exec
+/// layer's OffloadSimBackend reports its sweeps on this clock.
 [[nodiscard]] double simulated_compute_seconds(const DeviceSpec& device,
                                                const DeviceSpec& host_model,
                                                double measured_host_seconds);
 
 /// Modeled PCIe time to move `bytes` over the device link (§5.3's
 /// ~150 MB / 6 GB/s -> 0.03 s for the 3K case). Zero for host executors.
+/// The sweeps carry no wire time; whole-frame accounting (the Table 3
+/// bench) adds it, overlapped as max(compute, transfer).
 [[nodiscard]] double modeled_transfer_seconds(const DeviceSpec& device,
                                               double bytes);
 

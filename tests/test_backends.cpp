@@ -1,12 +1,15 @@
 // Tile compute backends and the §5.3 block router: scalar-backend sweeps
 // are byte-identical to the plan executor, the SIMD backend agrees at SNR
 // level, the BackendSet's split moves from capability priors to observed
-// rates, partition() boundaries are sound, and the service routed
+// rates, partition() boundaries are sound, plan replays on a
+// {xeon, knc, knc} set converge to the §5.3 effective-rate split and
+// reproduce the Table 3 ordering, and the service routed
 // end-to-end through ServiceConfig::backends is byte-identical to
 // service::execute_plan for scalar-only sets, runs the host SIMD backend
 // by default, and rejects an empty backend list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -16,6 +19,7 @@
 #include "backprojection/kernel.h"
 #include "common/check.h"
 #include "common/snr.h"
+#include "exec/executor.h"
 #include "exec/tile_backend.h"
 #include "service/plan_cache.h"
 #include "service/service.h"
@@ -179,6 +183,118 @@ TEST(BackendSet, PartitionBoundariesAreMonotoneAndComplete) {
       EXPECT_LE(bounds[i - 1], bounds[i]) << "n=" << n << " i=" << i;
     }
   }
+}
+
+// --- the §5.3 split and Table 3 on the engine ----------------------------
+
+exec::ExecOptions one_worker(obs::Registry& metrics) {
+  exec::ExecOptions options;
+  options.workers = 1;
+  options.metrics = &metrics;
+  return options;
+}
+
+/// One BackendSet replaying a plan frame by frame on its own 1-worker
+/// executor. frame() returns the frame's throughput: each backend's block
+/// share over its observed rate, the frame taking the slowest backend's
+/// simulated time.
+class FrameReplay {
+ public:
+  FrameReplay(const PlanFixture& f, std::vector<exec::BackendSpec> specs)
+      : f_(f),
+        set_(std::make_shared<exec::BackendSet>(std::move(specs), 0.5,
+                                                &reg_)),
+        executor_(one_worker(reg_)) {}
+
+  double frame() {
+    const Index nblocks = static_cast<Index>(f_.plan->blocks.size());
+    const double pulses = static_cast<double>(f_.pulses->num_pulses());
+    const std::vector<Index> bounds = set_->partition(nblocks);
+    auto tile =
+        std::make_shared<bp::SoaTile>(f_.region.width, f_.region.height);
+    executor_.run(make_plan_replay_group(f_.plan, f_.pulses, 1, 0, tile,
+                                         nullptr, nullptr, 0, -1, set_));
+    double total = 0.0;
+    double slowest = 0.0;
+    for (int k = 0; k < set_->size(); ++k) {
+      double work = 0.0;
+      for (Index b = bounds[static_cast<std::size_t>(k)];
+           b < bounds[static_cast<std::size_t>(k) + 1]; ++b) {
+        const auto& block = f_.plan->blocks[static_cast<std::size_t>(b)];
+        work += static_cast<double>(block.width * block.height) * pulses;
+      }
+      total += work;
+      if (work > 0.0) {
+        slowest = std::max(slowest, work / set_->backend(k).observed_rate());
+      }
+    }
+    return total / slowest;
+  }
+
+  [[nodiscard]] std::vector<double> split() const { return set_->split(); }
+
+ private:
+  const PlanFixture& f_;
+  obs::Registry reg_;
+  std::shared_ptr<exec::BackendSet> set_;
+  exec::TileExecutor executor_;
+};
+
+exec::BackendSpec xeon_spec() {
+  exec::BackendSpec spec;  // kHostScalar: the host model's anchor rate
+  spec.name = "xeon";
+  return spec;
+}
+
+exec::BackendSpec knc_spec(const char* name) {
+  exec::BackendSpec spec;
+  spec.kind = exec::BackendSpec::Kind::kOffloadSim;
+  spec.name = name;
+  return spec;
+}
+
+// Large enough that each backend's block range sweeps for milliseconds;
+// sub-millisecond sweeps are dominated by timer noise, which destabilizes
+// the observed-rate adaptation.
+PlanFixture split_fixture() { return make_plan_fixture(256, 48, 32); }
+
+TEST(BackendSet, SplitConvergesTowardEffectiveRates) {
+  const PlanFixture f = split_fixture();
+  FrameReplay replay(f, {xeon_spec(), knc_spec("knc0"), knc_spec("knc1")});
+  for (int frame = 0; frame < 6; ++frame) (void)replay.frame();
+  const std::vector<double> split = replay.split();
+  ASSERT_EQ(split.size(), 3u);
+  // Expected fractions from effective rates: 277 : 538 : 538. The loose
+  // tolerance absorbs the timing noise of a shared machine; the structural
+  // property is host < device and device ~ device.
+  EXPECT_NEAR(split[0], 277.2 / 1352.4, 0.13);
+  EXPECT_NEAR(split[1], 537.6 / 1352.4, 0.13);
+  EXPECT_NEAR(split[2], 537.6 / 1352.4, 0.13);
+  EXPECT_LT(split[0], split[1]);
+  EXPECT_LT(split[0], split[2]);
+}
+
+TEST(BackendSet, Table3ThroughputRatios) {
+  // The Table 3 shape: 1 KNC ~ 1.9x the dual Xeon; Xeon + 2 KNC ~ 4.8x.
+  const PlanFixture f = split_fixture();
+  FrameReplay xeon(f, {xeon_spec()});
+  FrameReplay knc(f, {knc_spec("knc0")});
+  FrameReplay combined(f, {xeon_spec(), knc_spec("knc0"), knc_spec("knc1")});
+  // Frames of the three sets interleave, so a slow spell of a shared host
+  // hits every set alike. Two settle frames for the split adaptation, then
+  // best-of: host interference only ever lowers a frame's throughput.
+  double best[3] = {0.0, 0.0, 0.0};
+  for (int frame = 0; frame < 8; ++frame) {
+    const double rates[3] = {xeon.frame(), knc.frame(), combined.frame()};
+    if (frame < 2) continue;
+    for (int i = 0; i < 3; ++i) best[i] = std::max(best[i], rates[i]);
+  }
+  // Assert the Table 3 ordering and coarse magnitudes (paper: 1.9x and
+  // 4.8x). The table3_offload bench reports the model-anchored numbers.
+  EXPECT_GT(best[1], best[0]);
+  EXPECT_GT(best[2], best[1]);
+  EXPECT_NEAR(best[1] / best[0], 1.9, 0.7);
+  EXPECT_NEAR(best[2] / best[0], 4.8, 2.3);
 }
 
 // --- service end-to-end through the router -------------------------------

@@ -167,12 +167,15 @@ TEST(ClusterService, PulseScatterMatchesLocalWithinReductionTolerance) {
 }
 
 TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
-  // 1xN and Nx1 grids cannot be band-split into two block-aligned pieces,
-  // so kAuto must fall back (pulse scatter or single) and still produce a
-  // faithful image rather than rejecting or crashing.
+  // Awkward and degenerate regions at several shard counts: 51x37 leaves
+  // remainder bands (and more shards than 16-px block rows at 7 shards);
+  // 1xN and Nx1 cannot be band-split into two block-aligned pieces, so
+  // kAuto must fall back (pulse scatter or single). Every case must still
+  // produce a faithful image rather than rejecting or crashing.
+  const Fixture f = make_fixture(64, 12);
   for (const auto& shape :
-       {std::pair<Index, Index>{1, 48}, std::pair<Index, Index>{48, 1}}) {
-    const Fixture f = make_fixture(48, 12);
+       {std::pair<Index, Index>{51, 37}, std::pair<Index, Index>{1, 48},
+        std::pair<Index, Index>{48, 1}}) {
     ImageFormationRequest base = make_request(f);
     base.region = Region{0, 0, shape.first, shape.second};
 
@@ -184,16 +187,19 @@ TEST(ClusterService, ShardedAutoStrategyOnDegenerateRegions) {
     const JobResult& reference = ref_outcome.handle->wait();
     ASSERT_EQ(reference.state, JobState::kDone) << reference.error;
 
-    ServiceConfig sharded;
-    sharded.shards = 2;
-    sharded.shard_small_pixels = 4;
-    ImageFormationService service(sharded);
-    auto outcome = service.submit(std::move(base));
-    ASSERT_TRUE(outcome.admitted());
-    const JobResult& result = outcome.handle->wait();
-    ASSERT_EQ(result.state, JobState::kDone) << result.error;
-    EXPECT_GT(snr_db(result.image, reference.image), 70.0)
-        << shape.first << "x" << shape.second;
+    for (const int shards : {2, 4, 7}) {
+      ServiceConfig sharded;
+      sharded.shards = shards;
+      sharded.shard_small_pixels = 4;
+      ImageFormationService service(sharded);
+      auto outcome = service.submit(ImageFormationRequest(base));
+      ASSERT_TRUE(outcome.admitted());
+      const JobResult& result = outcome.handle->wait();
+      ASSERT_EQ(result.state, JobState::kDone) << result.error;
+      EXPECT_GT(snr_db(result.image, reference.image), 70.0)
+          << shape.first << "x" << shape.second << " on " << shards
+          << " shards";
+    }
   }
 }
 

@@ -1,13 +1,16 @@
 // Work-stealing tile executor tests: Chase-Lev deque semantics under
 // contention, group lifecycle (completion continuation, abort, errors),
-// steal behaviour, and the acceptance parity check — executor-formed
-// images bit-identical to Backprojector::add_pulses for every kernel with
-// stealing on and off.
+// steal behaviour, and the acceptance parity check — plan replays through
+// the executor byte-identical to service::execute_plan (scalar) and to
+// each other (host SIMD) at every worker count with stealing on and off.
+// The OpenMP Backprojector driver's bit-identity to its serial partition
+// loop is checked here too.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,9 +20,10 @@
 #include "backprojection/soa_tile.h"
 #include "common/grid2d.h"
 #include "exec/executor.h"
-#include "exec/formation_tasks.h"
 #include "exec/steal_deque.h"
 #include "exec/task_group.h"
+#include "exec/tile_backend.h"
+#include "service/plan_cache.h"
 #include "test_helpers.h"
 
 namespace sarbp::exec {
@@ -286,8 +290,8 @@ TEST(TileExecutor, SubmitAfterDrainIsRejected) {
 // --------------------------------------------------------------- parity ---
 
 // Uninstrumented libgomp makes OpenMP regions false-positive under TSan
-// (see tools/run_sanitized_tests.sh); the TSan run substitutes a serial
-// replication of add_pulses' partition loop for the OpenMP driver itself.
+// (see tools/run_sanitized_tests.sh), so the OpenMP driver check below is
+// skipped there; the plan-replay parity test runs in every build.
 #if defined(__SANITIZE_THREAD__)
 #define SARBP_TSAN 1
 #elif defined(__has_feature)
@@ -298,9 +302,7 @@ TEST(TileExecutor, SubmitAfterDrainIsRejected) {
 
 // The exact computation Backprojector::add_pulses performs — same
 // partition, same per-part kernel, same tile reduction — minus the OpenMP
-// fan-out. The normal build asserts this is bit-identical to the real
-// driver, so the TSan build can use it as the reference without losing
-// coverage.
+// fan-out.
 Grid2D<CFloat> serial_add_pulses(const sim::PhaseHistory& history,
                                  const geometry::ImageGrid& grid,
                                  const bp::BackprojectOptions& options,
@@ -329,6 +331,16 @@ bool images_bit_identical(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
   return true;
 }
 
+bool tiles_bit_identical(const bp::SoaTile& a, const bp::SoaTile& b) {
+  if (a.width() != b.width() || a.height() != b.height()) return false;
+  const auto bytes = sizeof(float) * static_cast<std::size_t>(a.width());
+  for (Index y = 0; y < a.height(); ++y) {
+    if (std::memcmp(a.row_re(y), b.row_re(y), bytes) != 0) return false;
+    if (std::memcmp(a.row_im(y), b.row_im(y), bytes) != 0) return false;
+  }
+  return true;
+}
+
 struct ParityShape {
   Index image;
   Index min_region_edge;
@@ -336,13 +348,15 @@ struct ParityShape {
   const char* label;
 };
 
-// Acceptance criterion: the executor-produced image is bit-identical to
-// Backprojector::add_pulses for the same request, for every kernel, with
-// stealing on and off. Shapes are chosen so the partitioner yields
+// The OpenMP driver is deterministic and equals its own partition loop run
+// serially, for every kernel. Shapes are chosen so the partitioner yields
 // parts_pulse <= 2 — with at most two addends per output pixel, float
-// summation is order-free (commutativity suffices), so add_pulses itself
-// is deterministic and the comparison is exact.
-TEST(ExecutorParity, BitIdenticalToAddPulsesAllKernelsStealOnOff) {
+// summation is order-free (commutativity suffices), so the comparison is
+// exact.
+TEST(OpenMpDriver, AddPulsesBitIdenticalToSerialPartitionLoop) {
+#if defined(SARBP_TSAN)
+  GTEST_SKIP() << "OpenMP regions are not TSan-instrumented";
+#else
   using bp::KernelKind;
   const ParityShape shapes[] = {
       {96, 32, 4, "image-split x4"},     // parts_pulse = 1
@@ -365,94 +379,81 @@ TEST(ExecutorParity, BitIdenticalToAddPulsesAllKernelsStealOnOff) {
       options.min_region_edge = shape.min_region_edge;
       options.threads = shape.parallelism;
 
-      Grid2D<CFloat> reference = serial_add_pulses(
+      const Grid2D<CFloat> reference = serial_add_pulses(
           scenario.history, scenario.grid, options, shape.parallelism);
-#if !defined(SARBP_TSAN)
-      {
-        const bp::Backprojector driver(scenario.grid, options);
-        Grid2D<CFloat> via_driver(scenario.grid.width(),
-                                  scenario.grid.height());
-        driver.add_pulses(scenario.history, via_driver);
-        ASSERT_TRUE(images_bit_identical(reference, via_driver))
-            << shape.label << ", kernel " << bp::kernel_name(kind)
-            << ": serial replication diverged from add_pulses";
-      }
-#endif
-
-      for (const bool steal : {false, true}) {
-        Grid2D<CFloat> image(scenario.grid.width(), scenario.grid.height());
-        ExecOptions exec_options;
-        exec_options.workers = shape.parallelism;
-        exec_options.steal = steal;
-        obs::Registry registry;
-        exec_options.metrics = &registry;
-        TileExecutor executor(std::move(exec_options));
-        executor.run(make_backprojection_group(scenario.history, scenario.grid,
-                                               options, shape.parallelism,
-                                               image));
-        EXPECT_TRUE(images_bit_identical(reference, image))
-            << shape.label << ", kernel " << bp::kernel_name(kind)
-            << ", steal " << (steal ? "on" : "off");
-      }
+      const bp::Backprojector driver(scenario.grid, options);
+      Grid2D<CFloat> via_driver(scenario.grid.width(), scenario.grid.height());
+      driver.add_pulses(scenario.history, via_driver);
+      EXPECT_TRUE(images_bit_identical(reference, via_driver))
+          << shape.label << ", kernel " << bp::kernel_name(kind);
     }
   }
+#endif
 }
 
-// The executor must produce the same bits regardless of scheduling: repeat
-// the same group several times across worker counts and compare.
-TEST(ExecutorParity, DeterministicAcrossWorkerCounts) {
+// Acceptance criterion for the formation engine: one cached plan replayed
+// through service::make_plan_replay_group on the tile executor gives the
+// same bytes at every worker count with stealing on and off. The scalar
+// replay (null backend set) is byte-identical to the single-thread
+// service::execute_plan anchor; the default host-SIMD replay is
+// bit-identical across schedules (blocks are disjoint pixel rectangles and
+// each block's pulse order is fixed). A checkpoint that returns false
+// aborts the group before any block is swept.
+TEST(ExecutorParity, PlanReplayBitIdenticalAcrossWorkersAndSteal) {
   testing::ScenarioConfig cfg;
-  cfg.image = 64;
+  cfg.image = 96;
   cfg.pulses = 32;
   const auto scenario = testing::make_scenario(cfg);
-  bp::BackprojectOptions options;
-  options.kernel = bp::KernelKind::kAsrScalar;
-  options.asr_block_w = 32;
-  options.asr_block_h = 32;
-  options.min_region_edge = 32;
+  const auto history =
+      std::make_shared<const sim::PhaseHistory>(scenario.history);
+  const Region region{0, 0, cfg.image, cfg.image};
+  const auto plan = service::build_formation_plan(scenario.grid, region, 16,
+                                                  16, *history);
 
-  Grid2D<CFloat> first(0, 0);
+  bp::SoaTile anchor(region.width, region.height);
+  ASSERT_TRUE(service::execute_plan(*plan, *history, anchor, nullptr));
+
+  BackendSpec simd_spec;
+  simd_spec.kind = BackendSpec::Kind::kHostSimd;
+  obs::Registry backend_registry;
+  const auto simd =
+      std::make_shared<BackendSet>(std::vector<BackendSpec>{simd_spec}, 0.5,
+                                   &backend_registry);
+
+  std::shared_ptr<bp::SoaTile> first_simd;
   for (const int workers : {1, 2, 4}) {
-    Grid2D<CFloat> image(scenario.grid.width(), scenario.grid.height());
-    ExecOptions exec_options;
-    exec_options.workers = workers;
-    obs::Registry registry;
-    exec_options.metrics = &registry;
-    TileExecutor executor(std::move(exec_options));
-    executor.run(make_backprojection_group(scenario.history, scenario.grid,
-                                           options, 4, image));
-    if (first.width() == 0) {
-      first = std::move(image);
-    } else {
-      EXPECT_TRUE(images_bit_identical(first, image)) << workers << " workers";
-    }
-  }
-}
+    for (const bool steal : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << workers << " workers, steal "
+                                        << (steal ? "on" : "off"));
+      ExecOptions exec_options;
+      exec_options.workers = workers;
+      exec_options.steal = steal;
+      obs::Registry registry;
+      exec_options.metrics = &registry;
+      TileExecutor executor(std::move(exec_options));
 
-TEST(FormationGroup, CheckpointAbortLeavesImageUntouched) {
-  testing::ScenarioConfig cfg;
-  cfg.image = 64;
-  cfg.pulses = 16;
-  const auto scenario = testing::make_scenario(cfg);
-  bp::BackprojectOptions options;
-  options.kernel = bp::KernelKind::kAsrScalar;
-  options.min_region_edge = 16;
+      auto scalar = std::make_shared<bp::SoaTile>(region.width, region.height);
+      executor.run(service::make_plan_replay_group(
+          plan, history, workers, 0, scalar, nullptr, nullptr));
+      EXPECT_TRUE(tiles_bit_identical(anchor, *scalar));
 
-  Grid2D<CFloat> image(scenario.grid.width(), scenario.grid.height());
-  auto group = make_backprojection_group(scenario.history, scenario.grid,
-                                         options, 4, image,
-                                         [] { return false; });
-  ExecOptions exec_options;
-  exec_options.workers = 2;
-  obs::Registry registry;
-  exec_options.metrics = &registry;
-  TileExecutor executor(std::move(exec_options));
-  executor.run(group);
+      auto vector = std::make_shared<bp::SoaTile>(region.width, region.height);
+      executor.run(service::make_plan_replay_group(
+          plan, history, workers, 0, vector, nullptr, nullptr, 0, -1, simd));
+      if (first_simd == nullptr) {
+        first_simd = vector;
+      } else {
+        EXPECT_TRUE(tiles_bit_identical(*first_simd, *vector));
+      }
 
-  EXPECT_TRUE(group->aborted());
-  for (Index y = 0; y < image.height(); ++y) {
-    for (Index x = 0; x < image.width(); ++x) {
-      EXPECT_EQ(image.at(x, y), CFloat(0.0f, 0.0f));
+      auto untouched =
+          std::make_shared<bp::SoaTile>(region.width, region.height);
+      auto aborted = service::make_plan_replay_group(
+          plan, history, workers, 0, untouched, [] { return false; }, nullptr);
+      executor.run(aborted);
+      EXPECT_TRUE(aborted->aborted());
+      EXPECT_TRUE(tiles_bit_identical(
+          bp::SoaTile(region.width, region.height), *untouched));
     }
   }
 }

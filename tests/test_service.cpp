@@ -322,6 +322,13 @@ TEST(Service, InvalidRequestsRejectedWithReason) {
   EXPECT_EQ(service.submit(std::move(no_pulses)).reject,
             RejectReason::kInvalidRequest);
 
+  ImageFormationRequest zero_pulses = tiny_request(s, pulses);
+  zero_pulses.pulses = std::make_shared<const sim::PhaseHistory>(
+      0, pulses->samples_per_pulse(), pulses->bin_spacing(),
+      pulses->wavenumber());
+  EXPECT_EQ(service.submit(std::move(zero_pulses)).reject,
+            RejectReason::kInvalidRequest);
+
   ImageFormationRequest bad_region = tiny_request(s, pulses);
   bad_region.region = Region{-4, 0, 8, 8};
   EXPECT_EQ(service.submit(std::move(bad_region)).reject,
@@ -332,7 +339,7 @@ TEST(Service, InvalidRequestsRejectedWithReason) {
   EXPECT_EQ(service.submit(std::move(oversize)).reject,
             RejectReason::kInvalidRequest);
   if (obs::kEnabled) {
-    EXPECT_EQ(reg.counter("service.rejected.invalid_request").value(), 3u);
+    EXPECT_EQ(reg.counter("service.rejected.invalid_request").value(), 4u);
   }
 }
 
