@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
   const Region all{0, 0, image, image};
 
   bench::print_header("Ablation - dynamic loop reordering (Fig. 6)");
-  std::printf("samples per pulse: %lld (%.0f KiB per SoA plane)\n",
+  std::printf("samples per pulse: %lld (%.0f KiB per pulse)\n",
               static_cast<long long>(scenario.history.samples_per_pulse()),
-              static_cast<double>(scenario.history.samples_per_pulse()) * 4 /
-                  1024.0);
+              static_cast<double>(scenario.history.samples_per_pulse()) *
+                  sizeof(CFloat) / 1024.0);
 
   const geometry::LoopOrder good = geometry::choose_loop_order(
       scenario.history.meta(0).position, scenario.grid.centre());

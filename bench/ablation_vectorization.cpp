@@ -6,10 +6,11 @@
 // Rows, in backprojections/s:
 //   baseline                 pre-ASR production kernel (Fig. 3(a))
 //   asr-scalar               portable ASR sweep (Fig. 3(b))
-//   asr-simd/<isa>           streaming SIMD kernel, one row per usable ISA
+//   asr-simd/<isa>           SIMD kernel building tables on the fly, one row
+//                            per usable ISA
 //   plan/scalar              plan-replay scalar sweep (prebuilt tables)
 //   plan/<isa>/<variant>     fused plan-replay SIMD sweep per ISA x
-//                            {gather, shuffle, gather-nofma}
+//                            {gather, shuffle}
 //
 // The plan rows run through the exec::TileBackend interface — the same
 // code path the service routes jobs over — so the numbers here are the
@@ -132,7 +133,6 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<bp::KernelVariant, const char*>> variants = {
       {bp::KernelVariant::kGather, "gather"},
       {bp::KernelVariant::kShuffleTranspose, "shuffle"},
-      {bp::KernelVariant::kGatherNoFma, "gather-nofma"},
   };
   for (const bp::SimdIsa isa : isas) {
     if (!bp::asr_isa_available(isa)) continue;

@@ -97,6 +97,10 @@ Backprojector::Backprojector(const geometry::ImageGrid& grid,
   ensure(options_.asr_block_w > 0 && options_.asr_block_h > 0,
          "Backprojector: ASR block must be positive");
   ensure(options_.pulse_chunk > 0, "Backprojector: pulse chunk must be positive");
+  // Checked here, not in run_cube_part: a throw inside the OpenMP region
+  // of add_pulses would terminate the process.
+  ensure(options_.kernel != KernelKind::kRefDouble,
+         "Backprojector: kRefDouble is not a tile kernel; use backproject_ref");
 }
 
 void Backprojector::add_pulses(const sim::PhaseHistory& history,

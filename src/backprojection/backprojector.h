@@ -46,6 +46,8 @@ void run_cube_part(const sim::PhaseHistory& history,
 
 class Backprojector {
  public:
+  /// Throws PreconditionError for a non-positive ASR block or pulse chunk,
+  /// and for KernelKind::kRefDouble (use backproject_ref).
   Backprojector(const geometry::ImageGrid& grid, BackprojectOptions options);
 
   [[nodiscard]] const geometry::ImageGrid& grid() const { return grid_; }

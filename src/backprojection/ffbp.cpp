@@ -133,8 +133,6 @@ Grid2D<CFloat> ffbp_form_image_upsampled(const sim::PhaseHistory& upsampled,
         }
       }
     }
-    decimated.build_soa();
-
     // --- Level 2: standard (ASR, SIMD) backprojection as the base case.
     const Region region{tile.x0, tile.y0, tile.width, tile.height};
     SoaTile acc(region.width, region.height);

@@ -16,8 +16,8 @@
 //  - baseline all-float: range in single precision — reproduces the 12 dB
 //                  accuracy collapse quoted in §5.2.1 / Fig. 8.
 //  - asr_scalar:   approximate strength reduction (Fig. 3(b)), portable.
-//  - asr_simd:     ASR vectorized with AVX2/AVX-512 gathers over SoA pulse
-//                  data, recurrence stepped by the SIMD width (§4.4).
+//  - asr_simd:     ASR vectorized with AVX2/AVX-512 gathers over the AoS
+//                  pulse data, recurrence stepped by the SIMD width (§4.4).
 //
 // Float kernels write into a SoaTile covering exactly `region` (tile-local
 // coordinates); the driver owns placement and reduction.
@@ -90,10 +90,7 @@ const char* simd_isa_name(SimdIsa isa);
 ///    floats re0,im0,re1,im1 are adjacent in AoS) + an in-register
 ///    transpose instead of gathers. Bit-identical to kGather: same
 ///    arithmetic in the same order, only the load mechanism differs.
-///  - kGatherNoFma: gathers with separate mul+add in place of fused
-///    multiply-add. Different rounding, so parity with kGather is at SNR
-///    level (>70 dB), not bitwise.
-enum class KernelVariant { kAuto, kGather, kShuffleTranspose, kGatherNoFma };
+enum class KernelVariant { kAuto, kGather, kShuffleTranspose };
 const char* kernel_variant_name(KernelVariant variant);
 
 /// True when `isa` can run here: its kernel TU is linked in AND host cpuid
@@ -122,9 +119,9 @@ int asr_simd_width();
   return requested;
 }
 
-/// ASR kernel, SIMD (streaming: builds each block's tables on the fly).
+/// ASR kernel, SIMD: builds each block's tables on the fly and runs the
+/// same gather row kernel as the plan replay over the AoS pulse buffer.
 /// Falls back to the scalar kernel when `isa` resolves to kScalar.
-/// Requires history.has_soa() on the vector path.
 void backproject_asr_simd(const sim::PhaseHistory& history,
                           const geometry::ImageGrid& grid,
                           const Region& region, Index pulse_begin,
@@ -149,7 +146,7 @@ void backproject_asr_simd(const sim::PhaseHistory& history,
 /// calls (same block, same orientation): pass zero_ws only on the first
 /// call of the run and flush_ws only on the last, and the intermediate
 /// calls keep accumulating into the still-resident workspace — the fused
-/// counterpart of the streaming driver's once-per-block scratch. The
+/// counterpart of backproject_asr_simd's once-per-block scratch. The
 /// defaults (both true) keep the standalone one-call semantics. Both flags
 /// are ignored under x_inner and under kScalar resolution, where nothing
 /// is ever buffered.

@@ -5,17 +5,16 @@
 // First use also fail-fasts (clear PreconditionError, never SIGILL) when
 // the build's *baseline* -march exceeds the host.
 //
-// Two drivers share the row kernels:
-//  - backproject_asr_simd: streaming — builds each (block, pulse) table on
-//    the fly, gathers from the SoA pulse planes, accumulates into an
-//    l-contiguous scratch flushed once per block;
+// Two drivers share one row kernel per ISA, which reads samples straight
+// from the AoS pulse buffer:
+//  - backproject_asr_simd: builds each (block, pulse) table on the fly and
+//    accumulates into an l-contiguous scratch flushed once per block;
 //  - asr_plan_sweep_simd: fused plan replay — reads tables prebuilt by the
-//    service's plan cache (resident across the whole sweep), reads samples
-//    straight from the AoS pulse buffer, and under x_inner accumulates
-//    directly into the output tile with no scratch round-trip. Under
-//    y_inner the zero_ws/flush_ws flags let the caller keep the workspace
-//    resident across a run of consecutive pulses so the zero + transposed
-//    flush amortizes per block, not per pulse.
+//    service's plan cache (resident across the whole sweep), and under
+//    x_inner accumulates directly into the output tile with no scratch
+//    round-trip. Under y_inner the zero_ws/flush_ws flags let the caller
+//    keep the workspace resident across a run of consecutive pulses so the
+//    zero + transposed flush amortizes per block, not per pulse.
 #include <cmath>
 #include <numbers>
 
@@ -83,7 +82,6 @@ const char* kernel_variant_name(KernelVariant variant) {
     case KernelVariant::kAuto: return "auto";
     case KernelVariant::kGather: return "gather";
     case KernelVariant::kShuffleTranspose: return "shuffle";
-    case KernelVariant::kGatherNoFma: return "gather-nofma";
   }
   return "?";
 }
@@ -132,8 +130,6 @@ void backproject_asr_simd(const sim::PhaseHistory& history,
                            block_w, block_h, order, out);
     return;
   }
-  ensure(history.has_soa(),
-         "backproject_asr_simd: call PhaseHistory::build_soa first");
   ensure(pulse_begin >= 0 && pulse_end <= history.num_pulses() &&
              pulse_begin <= pulse_end,
          "backproject_asr_simd: pulse range out of bounds");
@@ -169,9 +165,9 @@ void backproject_asr_simd(const sim::PhaseHistory& history,
       asr::build_block_tables_fast(q, meta.start_range_m,
                                    history.bin_spacing(), two_pi_k, len_l,
                                    len_m, tables);
-      ops->rows_soa(tables, history.pulse_re(p).data(),
-                    history.pulse_im(p).data(), samples, scratch_re.data(),
-                    scratch_im.data(), len_l, len_l, len_m);
+      ops->rows_aos(tables, history.pulse(p).data(), samples,
+                    scratch_re.data(), scratch_im.data(), len_l, len_l, len_m,
+                    KernelVariant::kGather);
     }
 
     // Flush the block scratch into the thread tile under the (l, m) ->
@@ -225,8 +221,8 @@ void asr_plan_sweep_simd(const asr::BlockTables& tables, const CFloat* in,
     return;
   }
   // l walks y: accumulate l-contiguous rows into the workspace, and flush
-  // transposed at the end of the run (same structure as the streaming
-  // kernel's once-per-block scratch).
+  // transposed at the end of the run (same structure as
+  // backproject_asr_simd's once-per-block scratch).
   if (zero_ws) {
     ws_re.assign(static_cast<std::size_t>(len_l * len_m), 0.0f);
     ws_im.assign(static_cast<std::size_t>(len_l * len_m), 0.0f);

@@ -16,19 +16,14 @@
 
 namespace sarbp::bp::detail {
 
-/// One ISA's row kernels. `acc_re`/`acc_im` are planar accumulation
+/// One ISA's row kernel. `acc_re`/`acc_im` are planar accumulation
 /// buffers whose row m starts at `acc + m * acc_pitch` (pitch = len_l for
 /// a block-local scratch, = tile width for fused in-place accumulation).
 struct AsrIsaOps {
   int width;         ///< f32 lanes (8 or 16)
   const char* name;  ///< "avx2" / "avx512"
-  /// Streaming-kernel rows: samples from split SoA planes (hardware
-  /// gathers over pulse_re/pulse_im).
-  void (*rows_soa)(const asr::BlockTables& t, const float* soa_re,
-                   const float* soa_im, Index samples, float* acc_re,
-                   float* acc_im, Index acc_pitch, Index len_l, Index len_m);
-  /// Plan-replay rows: samples straight from the AoS pulse buffer (the
-  /// form service plans hold), inner loop selected by `variant`.
+  /// Rows of one (block, pulse) pass: samples straight from the AoS pulse
+  /// buffer, inner loop selected by `variant`. Both drivers call it.
   void (*rows_aos)(const asr::BlockTables& t, const CFloat* in, Index samples,
                    float* acc_re, float* acc_im, Index acc_pitch, Index len_l,
                    Index len_m, KernelVariant variant);

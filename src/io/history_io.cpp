@@ -65,7 +65,6 @@ sim::PhaseHistory load_phase_history(const std::string& path) {
             static_cast<std::streamsize>(pulse.size_bytes()));
   }
   ensure(in.good(), "load_phase_history: truncated data in " + path);
-  history.build_soa();
   return history;
 }
 

@@ -200,7 +200,6 @@ PhaseHistory collect(const CollectorParams& params,
     }
   }
 
-  history.build_soa();
   return history;
 }
 

@@ -2,11 +2,13 @@
 // one compressed range profile per pulse plus the per-pulse metadata
 // (recorded platform position, start range) backprojection needs.
 //
-// Two layouts are kept (paper §4.4):
-//  - AoS (interleaved re/im): natural on CPUs, where In[bin] and In[bin+1]
-//    are fetched with one 128-bit load and shuffled;
-//  - SoA (separate re[] / im[] planes): what gather-capable hardware wants,
-//    one vgather per plane.
+// Samples are stored once, as AoS (interleaved re/im). The paper (§4.4)
+// keeps SoA planes for the gather-based Xeon Phi kernel; here both vector
+// load policies read AoS directly: one 128-bit load of In[bin], In[bin+1]
+// plus a shuffle-transpose, or four gathers at a two-float stride. An
+// in-place edit of pulse(p) therefore reaches every kernel; there is no
+// second copy to keep in step. bench/ablation_layout still measures AoS
+// against SoA.
 #pragma once
 
 #include <span>
@@ -50,16 +52,9 @@ class PhaseHistory {
     return meta_[static_cast<std::size_t>(p)];
   }
 
-  /// Rebuilds the SoA planes from the AoS data. Call once after filling;
-  /// the gather kernels read these.
-  void build_soa();
-  [[nodiscard]] bool has_soa() const { return !soa_re_.empty(); }
-  [[nodiscard]] std::span<const float> pulse_re(Index p) const {
-    return {soa_re_.data() + p * samples_, static_cast<std::size_t>(samples_)};
-  }
-  [[nodiscard]] std::span<const float> pulse_im(Index p) const {
-    return {soa_im_.data() + p * samples_, static_cast<std::size_t>(samples_)};
-  }
+  /// No-op: samples have no second layout to build. Kept because the
+  /// benchmark harness (perfbench/src/inputs.cpp) still calls it.
+  void build_soa() {}
 
   /// Total AoS payload in bytes (PCIe-transfer accounting).
   [[nodiscard]] std::size_t payload_bytes() const {
@@ -79,8 +74,6 @@ class PhaseHistory {
   double bin_spacing_ = 1.0;
   double wavenumber_ = 0.0;
   AlignedVector<CFloat> aos_;
-  AlignedVector<float> soa_re_;
-  AlignedVector<float> soa_im_;
   std::vector<PulseMeta> meta_;
 };
 

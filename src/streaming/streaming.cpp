@@ -21,13 +21,6 @@
 namespace sarbp::streaming {
 namespace {
 
-/// Which inner sweep the session runs; resolved once at open so every
-/// update of a session uses one kernel.
-struct KernelSel {
-  bool simd = false;
-  bp::SimdIsa isa = bp::SimdIsa::kScalar;
-};
-
 /// Per-task scratch: the on-the-fly BlockTables plus the SIMD y_inner
 /// workspace, reused across every (block, pulse) pair the task sweeps.
 struct SweepScratch {
@@ -36,16 +29,19 @@ struct SweepScratch {
   AlignedVector<float> ws_im;
 };
 
-/// Sweeps every pulse of `chunks` (in order) over one block into `tile`,
-/// building each (block, pulse) table on the fly with exactly the inputs
-/// build_formation_plan would use — so a whole-window sweep here is
-/// bit-identical to a cached-plan replay (and to reform_window) over the
-/// concatenated history. Returns the (pixel, pulse) operation count.
+/// Sweeps every pulse of `chunks` (in order) over one block into `tile`
+/// through the fused SIMD sweep (auto ISA; the scalar sweep when no vector
+/// ISA is usable), building each (block, pulse) table on the fly with
+/// exactly the inputs build_formation_plan would use. A whole-window sweep
+/// here is bit-identical to reform_window over the concatenated history,
+/// and matches the service's SIMD plan replay at > 70 dB: that replay
+/// flushes its y_inner workspace once per pulse run, this sweep once per
+/// pulse, so the float sums round differently. Returns the (pixel, pulse)
+/// operation count.
 std::uint64_t sweep_block(const geometry::ImageGrid& grid,
                           const Region& region, const asr::BlockSpec& block,
                           std::span<const sim::PhaseHistory* const> chunks,
-                          const KernelSel& sel, SweepScratch& scratch,
-                          bp::SoaTile& tile) {
+                          SweepScratch& scratch, bp::SoaTile& tile) {
   const geometry::Vec3 centre = grid.position_f(
       static_cast<double>(block.x0) +
           0.5 * static_cast<double>(block.width - 1),
@@ -69,15 +65,10 @@ std::uint64_t sweep_block(const geometry::ImageGrid& grid,
       asr::build_block_tables_fast(q, meta.start_range_m,
                                    chunk->bin_spacing(), two_pi_k, len_l,
                                    len_m, scratch.tables);
-      if (sel.simd) {
-        bp::asr_plan_sweep_simd(scratch.tables, chunk->pulse(p).data(),
-                                samples, x_inner, bx, by, len_l, len_m, tile,
-                                sel.isa, bp::KernelVariant::kAuto,
-                                scratch.ws_re, scratch.ws_im);
-      } else {
-        bp::asr_sweep_block(scratch.tables, chunk->pulse(p).data(), samples,
-                            x_inner, bx, by, len_l, len_m, tile);
-      }
+      bp::asr_plan_sweep_simd(scratch.tables, chunk->pulse(p).data(),
+                              samples, x_inner, bx, by, len_l, len_m, tile,
+                              bp::SimdIsa::kAuto, bp::KernelVariant::kAuto,
+                              scratch.ws_re, scratch.ws_im);
     }
     ops += static_cast<std::uint64_t>(block.width) *
            static_cast<std::uint64_t>(block.height) *
@@ -104,8 +95,6 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
                                  region_.height, config_.asr_block_w,
                                  config_.asr_block_h)),
         live_(region_.width, region_.height) {
-    sel_.simd = config_.use_simd && bp::asr_simd_available();
-    if (sel_.simd) sel_.isa = bp::asr_resolve_isa(bp::SimdIsa::kAuto);
     if constexpr (obs::kEnabled) {
       auto& reg = service_.metrics();
       opened_ = &reg.counter("streaming.sessions.opened");
@@ -421,12 +410,12 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       }
       const asr::BlockSpec& block = blocks_[static_cast<std::size_t>(b)];
       if (u.anchor) {
-        ops += sweep_block(config_.grid, region_, block, window_chunks, sel_,
+        ops += sweep_block(config_.grid, region_, block, window_chunks,
                            scratch, *u.fresh);
       }
       if (u.partial != nullptr) {
-        ops += sweep_block(config_.grid, region_, block, new_chunk, sel_,
-                           scratch, *u.partial);
+        ops += sweep_block(config_.grid, region_, block, new_chunk, scratch,
+                           *u.partial);
       }
     }
     // order: relaxed — statistics accumulator; the group's completion
@@ -559,7 +548,6 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
   const StreamConfig config_;
   const Region region_;
   const std::vector<asr::BlockSpec> blocks_;
-  KernelSel sel_;
 
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("streaming.session")};
   CondVar cv_;
@@ -663,9 +651,6 @@ Grid2D<CFloat> reform_window(const StreamConfig& config,
   const Region region = effective_region(config);
   ensure(!region.empty() && config.asr_block_w > 0 && config.asr_block_h > 0,
          "reform_window: bad geometry");
-  KernelSel sel;
-  sel.simd = config.use_simd && bp::asr_simd_available();
-  if (sel.simd) sel.isa = bp::asr_resolve_isa(bp::SimdIsa::kAuto);
   bp::SoaTile tile(region.width, region.height);
   if (window.num_pulses() > 0) {
     const auto blocks =
@@ -674,7 +659,7 @@ Grid2D<CFloat> reform_window(const StreamConfig& config,
     SweepScratch scratch;
     const sim::PhaseHistory* chunks[] = {&window};
     for (const asr::BlockSpec& block : blocks) {
-      sweep_block(config.grid, region, block, chunks, sel, scratch, tile);
+      sweep_block(config.grid, region, block, chunks, scratch, tile);
     }
   }
   Grid2D<CFloat> image(region.width, region.height);

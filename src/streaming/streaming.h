@@ -67,9 +67,6 @@ struct StreamConfig {
   std::chrono::milliseconds update_deadline{0};
   service::Priority priority = service::Priority::kNormal;
   std::string tenant;
-  /// Sweeps through the fused SIMD plan replay (auto ISA); degrades to the
-  /// scalar sweep bit-identically-to-itself when no vector ISA is usable.
-  bool use_simd = false;
   /// Optional shared sub-aperture partial cache (may be shared across
   /// sessions on the same scene); null = no partial reuse. Must outlive
   /// the session.

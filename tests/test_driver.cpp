@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "backprojection/accumulator.h"
 #include "backprojection/backprojector.h"
 #include "backprojection/breakdown.h"
 #include "backprojection/locality.h"
+#include "common/check.h"
 #include "common/snr.h"
 #include "test_helpers.h"
 
@@ -70,6 +72,55 @@ TEST_F(DriverTest, MultiThreadMatchesSingleThread) {
     const Grid2D<CFloat> four = Backprojector(s.grid, opts).form_image(s.history);
     EXPECT_GT(snr_db(four, one), 80.0) << kernel_name(kind);
   }
+}
+
+/// A default Backprojector (the SIMD kernel where the host has one) and
+/// the scalar ASR kernel over the same history agree at the SIMD-vs-scalar
+/// floor of the kernel variant tests.
+void expect_default_matches_scalar(const geometry::ImageGrid& grid,
+                                   const sim::PhaseHistory& history) {
+  const Grid2D<CFloat> fast =
+      Backprojector(grid, BackprojectOptions{}).form_image(history);
+  BackprojectOptions scalar;
+  scalar.kernel = KernelKind::kAsrScalar;
+  const Grid2D<CFloat> slow = Backprojector(grid, scalar).form_image(history);
+  EXPECT_GT(snr_db(fast, slow), 70.0);
+}
+
+TEST_F(DriverTest, HandFilledHistoryFormsLikeScalar) {
+  // Samples written through pulse() and nothing else are all a kernel
+  // needs: there is no second layout to prepare.
+  const auto& s = *scenario_;
+  sim::PhaseHistory copy(s.history.num_pulses(),
+                         s.history.samples_per_pulse(),
+                         s.history.bin_spacing(), s.history.wavenumber());
+  for (Index p = 0; p < copy.num_pulses(); ++p) {
+    const auto src = s.history.pulse(p);
+    std::copy(src.begin(), src.end(), copy.pulse(p).begin());
+    copy.meta(p) = s.history.meta(p);
+  }
+  expect_default_matches_scalar(s.grid, copy);
+}
+
+TEST_F(DriverTest, InPlaceSampleEditReachesEveryKernel) {
+  // Rotate every sample of a collected history in place, pulse by pulse;
+  // the SIMD kernel must see the edit just as the scalar kernel does.
+  sim::PhaseHistory edited = scenario_->history;
+  for (Index p = 0; p < edited.num_pulses(); ++p) {
+    const double phase = 0.7 + 0.3 * static_cast<double>(p);
+    const CFloat rot(static_cast<float>(std::cos(phase)),
+                     static_cast<float>(std::sin(phase)));
+    for (auto& sample : edited.pulse(p)) sample *= rot;
+  }
+  expect_default_matches_scalar(scenario_->grid, edited);
+}
+
+TEST_F(DriverTest, RefDoubleKernelRejectedAtConstruction) {
+  // The double reference has no tile form; a default-threaded form_image
+  // would otherwise reach it inside the OpenMP region.
+  BackprojectOptions opts;
+  opts.kernel = KernelKind::kRefDouble;
+  EXPECT_THROW((void)Backprojector(scenario_->grid, opts), PreconditionError);
 }
 
 TEST_F(DriverTest, PulseSplitPartitionsStillCorrect) {
@@ -229,15 +280,26 @@ TEST(Breakdown, BaselineSectionsRoughlySumToTotal) {
   cfg.pulses = 12;
   const SmallScenario s = make_scenario(cfg);
   const Region all{0, 0, s.grid.width(), s.grid.height()};
-  const BaselineBreakdown b = measure_baseline_breakdown(
-      s.history, s.grid, all, 0, s.history.num_pulses());
-  EXPECT_GT(b.total_s, 0.0);
-  const double sum = b.other_s + b.sqrt_s + b.interp_s + b.argred_s + b.sincos_s;
-  // Differential timing is noisy on a busy machine; the parts must still
-  // land in the right ballpark of the whole.
-  EXPECT_GT(sum, 0.3 * b.total_s);
-  EXPECT_LT(sum, 3.0 * b.total_s);
-  EXPECT_GE(b.trig_s(), b.sincos_s);
+  // Differential timing is noisy on a busy machine, and one burst of load
+  // can land on a single section. Each repeat compares its own sections
+  // with its own total; the bounds apply to the median repeat.
+  constexpr int kRepeats = 5;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    const BaselineBreakdown b = measure_baseline_breakdown(
+        s.history, s.grid, all, 0, s.history.num_pulses());
+    ASSERT_GT(b.total_s, 0.0);
+    EXPECT_GE(b.trig_s(), b.sincos_s);
+    ratios.push_back(
+        (b.other_s + b.sqrt_s + b.interp_s + b.argred_s + b.sincos_s) /
+        b.total_s);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kRepeats / 2,
+                   ratios.end());
+  const double median = ratios[kRepeats / 2];
+  // The parts must still land in the right ballpark of the whole.
+  EXPECT_GT(median, 0.3);
+  EXPECT_LT(median, 3.0);
 }
 
 TEST(Breakdown, AsrInnerPlusPrecomputeIsTotal) {

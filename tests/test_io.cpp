@@ -140,7 +140,6 @@ TEST(HistoryIo, RoundTripPreservesEverything) {
       ASSERT_EQ(a[i], b[i]) << p << ":" << i;
     }
   }
-  EXPECT_TRUE(loaded.has_soa());
   std::remove(path.c_str());
 }
 

@@ -5,8 +5,8 @@
 // Parity contract (kernel.h):
 //  - kGather vs kShuffleTranspose: bit-identical (same arithmetic, same
 //    order; only the load mechanism differs).
-//  - scalar vs vector, FMA vs no-FMA, AVX2 vs AVX-512: different rounding
-//    and/or reduction widths, so parity is at SNR level (> 70 dB).
+//  - scalar vs vector, AVX2 vs AVX-512: different rounding and/or
+//    reduction widths, so parity is at SNR level (> 70 dB).
 //  - forcing an unavailable ISA fails with PreconditionError, never SIGILL.
 #include <gtest/gtest.h>
 
@@ -171,30 +171,13 @@ TEST_F(KernelVariantTest, VectorIsasMatchScalarAtSnrLevel) {
   for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
     if (!bp::asr_isa_available(isa)) continue;
     for (const bp::KernelVariant variant :
-         {bp::KernelVariant::kGather, bp::KernelVariant::kShuffleTranspose,
-          bp::KernelVariant::kGatherNoFma}) {
+         {bp::KernelVariant::kGather, bp::KernelVariant::kShuffleTranspose}) {
       const Grid2D<CFloat> vec = to_grid(run_simd_plan(isa, variant));
       EXPECT_GT(snr_db(vec, scalar), 70.0)
           << bp::simd_isa_name(isa) << "/"
           << bp::kernel_variant_name(variant);
       checked = true;
     }
-  }
-  if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
-}
-
-TEST_F(KernelVariantTest, NoFmaMatchesGatherAtSnrLevel) {
-  // Splitting each fused multiply-add into mul+add changes rounding only:
-  // the images must agree far above the ASR approximation floor.
-  bool checked = false;
-  for (const bp::SimdIsa isa : {bp::SimdIsa::kAvx2, bp::SimdIsa::kAvx512}) {
-    if (!bp::asr_isa_available(isa)) continue;
-    const Grid2D<CFloat> fma =
-        to_grid(run_simd_plan(isa, bp::KernelVariant::kGather));
-    const Grid2D<CFloat> nofma =
-        to_grid(run_simd_plan(isa, bp::KernelVariant::kGatherNoFma));
-    EXPECT_GT(snr_db(nofma, fma), 80.0) << bp::simd_isa_name(isa);
-    checked = true;
   }
   if (!checked) GTEST_SKIP() << "no vector ISA usable on this host";
 }
@@ -214,8 +197,8 @@ TEST_F(KernelVariantTest, ForcedAvx2OnWiderHostMatchesAuto) {
 }
 
 TEST_F(KernelVariantTest, StreamingKernelHonoursForcedIsa) {
-  // The streaming (non-plan) entry point takes the same ISA override; a
-  // forced narrow ISA must agree with the scalar streaming kernel.
+  // The on-the-fly (non-plan) entry point takes the same ISA override; a
+  // forced narrow ISA must agree with the on-the-fly scalar kernel.
   bp::SoaTile scalar(kImage, kImage);
   bp::backproject_asr_scalar(scenario_->history, scenario_->grid, region_, 0,
                              kPulses, kBlock, kBlock,

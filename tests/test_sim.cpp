@@ -80,29 +80,6 @@ TEST(PhaseHistory, ShapeAndMetadata) {
   EXPECT_EQ(ph.payload_bytes(), 4u * 100u * sizeof(CFloat));
 }
 
-TEST(PhaseHistory, SoaMirrorsAos) {
-  PhaseHistory ph(2, 8, 1.0, 1.0);
-  Rng rng(5);
-  for (Index p = 0; p < 2; ++p) {
-    for (auto& s : ph.pulse(p)) {
-      s = CFloat(static_cast<float>(rng.normal()),
-                 static_cast<float>(rng.normal()));
-    }
-  }
-  EXPECT_FALSE(ph.has_soa());
-  ph.build_soa();
-  ASSERT_TRUE(ph.has_soa());
-  for (Index p = 0; p < 2; ++p) {
-    const auto aos = ph.pulse(p);
-    const auto re = ph.pulse_re(p);
-    const auto im = ph.pulse_im(p);
-    for (std::size_t i = 0; i < aos.size(); ++i) {
-      EXPECT_EQ(re[i], aos[i].real());
-      EXPECT_EQ(im[i], aos[i].imag());
-    }
-  }
-}
-
 class CollectorTest : public ::testing::Test {
  protected:
   static constexpr double kTwoPi = 2.0 * std::numbers::pi;
@@ -269,14 +246,6 @@ TEST(Collector, WindowCoversSceneSpan) {
       EXPECT_LT(bin, static_cast<double>(s.history.samples_per_pulse() - 1));
     }
   }
-}
-
-TEST(Collector, CollectBuildsSoa) {
-  testing::ScenarioConfig cfg;
-  cfg.image = 16;
-  cfg.pulses = 2;
-  const auto s = testing::make_scenario(cfg);
-  EXPECT_TRUE(s.history.has_soa());
 }
 
 }  // namespace

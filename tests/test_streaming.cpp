@@ -1,6 +1,7 @@
 // Streaming sliding-aperture tests: incremental-vs-full parity (bit-exact
-// at re-anchors, > 70 dB drift bound between them, across scalar/SIMD and
-// steal on/off), the O(delta) vs O(full) operation-count acceptance bound,
+// at re-anchors, > 70 dB drift bound between them and against the
+// service's plan replay on its scalar and SIMD backends, steal on/off),
+// the O(delta) vs O(full) operation-count acceptance bound,
 // re-anchor cadence, sub-aperture cache hit/eviction/collision behaviour,
 // cancel and deadline expiry mid-update, the queued-cancel abandonment
 // path, and the streaming trace round trip + replay.
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -63,7 +65,11 @@ void expect_bit_identical(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
 
 /// After every update: a re-anchored snapshot must equal reform_window()
 /// bit for bit; an incremental one must track it within the drift bound.
-void run_parity(bool simd, bool steal) {
+/// At each anchor the window is also formed as a service job on a host
+/// scalar or host SIMD backend; the SIMD replay flushes its y_inner
+/// workspace per pulse run rather than per pulse, so either replay
+/// matches at the drift bound, not bitwise.
+void run_parity(exec::BackendSpec::Kind backend, bool steal) {
   ScenarioConfig cfg;
   cfg.image = 48;
   cfg.pulses = 48;
@@ -75,6 +81,8 @@ void run_parity(bool simd, bool steal) {
   sc.workers = 2;
   sc.steal = steal;
   sc.metrics = &reg;
+  sc.backends.assign(1, exec::BackendSpec{});
+  sc.backends[0].kind = backend;
   service::ImageFormationService srv(sc);
 
   StreamConfig config;
@@ -83,7 +91,6 @@ void run_parity(bool simd, bool steal) {
   config.chunk_pulses = 6;
   config.window_chunks = 4;
   config.reanchor_interval = 3;  // anchors land on updates 4 and 8
-  config.use_simd = simd;
   StreamSession session = open_stream(srv, config);
 
   const Index chunks = cfg.pulses / config.chunk_pulses;
@@ -105,6 +112,17 @@ void run_parity(bool simd, bool steal) {
     if (snap->reanchored) {
       saw_anchor = true;
       expect_bit_identical(snap->image, reference);
+      service::ImageFormationRequest req;
+      req.grid = config.grid;
+      req.pulses = std::make_shared<const sim::PhaseHistory>(window);
+      req.asr_block_w = config.asr_block_w;
+      req.asr_block_h = config.asr_block_h;
+      auto job = srv.submit(std::move(req));
+      ASSERT_TRUE(job.admitted());
+      const service::JobResult& replay = job.handle->wait();
+      ASSERT_EQ(replay.state, service::JobState::kDone) << replay.error;
+      EXPECT_GT(snr_db(replay.image, reference), 70.0)
+          << "service replay diverged at update " << snap->seq;
     } else {
       saw_incremental = true;
       EXPECT_GT(snr_db(snap->image, reference), 70.0)
@@ -115,13 +133,23 @@ void run_parity(bool simd, bool steal) {
   EXPECT_TRUE(saw_incremental);
   EXPECT_EQ(session.stats().updates_completed,
             static_cast<std::uint64_t>(chunks));
+  if constexpr (obs::kEnabled) {
+    const std::string name =
+        backend == exec::BackendSpec::Kind::kHostScalar
+            ? std::string("backend.scalar.sweeps")
+            : std::string("backend.simd-") +
+                  bp::simd_isa_name(bp::asr_resolve_isa(bp::SimdIsa::kAuto)) +
+                  ".sweeps";
+    EXPECT_GE(reg.counter(name).value(), 1) << name;
+  }
   session.close();
 }
 
-TEST(StreamingParity, ScalarNoSteal) { run_parity(false, false); }
-TEST(StreamingParity, ScalarSteal) { run_parity(false, true); }
-TEST(StreamingParity, SimdNoSteal) { run_parity(true, false); }
-TEST(StreamingParity, SimdSteal) { run_parity(true, true); }
+using Kind = exec::BackendSpec::Kind;
+TEST(StreamingParity, ScalarNoSteal) { run_parity(Kind::kHostScalar, false); }
+TEST(StreamingParity, ScalarSteal) { run_parity(Kind::kHostScalar, true); }
+TEST(StreamingParity, SimdNoSteal) { run_parity(Kind::kHostSimd, false); }
+TEST(StreamingParity, SimdSteal) { run_parity(Kind::kHostSimd, true); }
 
 // --- O(delta) vs O(full): the acceptance bound ---------------------------
 
