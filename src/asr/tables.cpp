@@ -36,29 +36,50 @@ void quadratic_phase_table(double c0, double c1, double c2, Index n,
   }
 }
 
+/// Floats one array of `n` entries occupies: padded to a 64-byte line.
+std::size_t padded(Index n) {
+  constexpr std::size_t kLine = kSimdAlign / sizeof(float);
+  return (static_cast<std::size_t>(n) + kLine - 1) / kLine * kLine;
+}
+
 }  // namespace
 
-void BlockTables::resize(Index w, Index h) {
-  ensure(w > 0 && h > 0, "BlockTables: block must be non-empty");
-  width = w;
-  height = h;
-  const auto lw = static_cast<std::size_t>(w);
-  const auto lh = static_cast<std::size_t>(h);
-  bin_a.resize(lw);
-  bin_b.resize(lh);
-  bin_c.resize(lh);
-  phi_re.resize(lw);
-  phi_im.resize(lw);
-  psi_re.resize(lh);
-  psi_im.resize(lh);
-  gam_re.resize(lh);
-  gam_im.resize(lh);
+std::size_t table_floats(Index width, Index height) {
+  return 3 * padded(width) + 6 * padded(height);
+}
+
+BlockTables carve_tables(float* base, Index width, Index height) {
+  ensure(width > 0 && height > 0, "carve_tables: block must be non-empty");
+  BlockTables t;
+  t.width = width;
+  t.height = height;
+  const std::size_t l = padded(width);
+  const std::size_t m = padded(height);
+  t.bin_a = base;
+  t.phi_re = base + l;
+  t.phi_im = base + 2 * l;
+  float* mbase = base + 3 * l;
+  t.bin_b = mbase;
+  t.bin_c = mbase + m;
+  t.psi_re = mbase + 2 * m;
+  t.psi_im = mbase + 3 * m;
+  t.gam_re = mbase + 4 * m;
+  t.gam_im = mbase + 5 * m;
+  return t;
+}
+
+const BlockTables& TableWorkspace::resize(Index width, Index height) {
+  const std::size_t floats = table_floats(width, height);
+  if (storage_.size() < floats) storage_.resize(floats);
+  view_ = carve_tables(storage_.data(), width, height);
+  return view_;
 }
 
 void build_block_tables(const Quadratic2D& q, double start_range,
-                        double bin_spacing, double two_pi_k, Index width,
-                        Index height, BlockTables& tables) {
-  tables.resize(width, height);
+                        double bin_spacing, double two_pi_k,
+                        const BlockTables& tables) {
+  const Index width = tables.width;
+  const Index height = tables.height;
   const double inv_dr = 1.0 / bin_spacing;
   // Centred offset of index 0 along each axis (expansion is about the
   // block centre; paper footnote 4).
@@ -95,9 +116,10 @@ void build_block_tables(const Quadratic2D& q, double start_range,
 }
 
 void build_block_tables_fast(const Quadratic2D& q, double start_range,
-                             double bin_spacing, double two_pi_k, Index width,
-                             Index height, BlockTables& tables) {
-  tables.resize(width, height);
+                             double bin_spacing, double two_pi_k,
+                             const BlockTables& tables) {
+  const Index width = tables.width;
+  const Index height = tables.height;
   const double inv_dr = 1.0 / bin_spacing;
   const double l0 = -0.5 * static_cast<double>(width - 1);
   const double m0 = -0.5 * static_cast<double>(height - 1);
@@ -116,8 +138,8 @@ void build_block_tables_fast(const Quadratic2D& q, double start_range,
       delta += delta2;
     }
     quadratic_phase_table(two_pi_k * l_const, two_pi_k * l_lin,
-                          two_pi_k * q.bx, width, tables.phi_re.data(),
-                          tables.phi_im.data());
+                          two_pi_k * q.bx, width, tables.phi_re,
+                          tables.phi_im);
   }
 
   // --- m axis: range_m(j) = a'*(j+m0) + by*(j+m0)^2 with the cross term's
@@ -139,11 +161,11 @@ void build_block_tables_fast(const Quadratic2D& q, double start_range,
       cross += cross_step;
     }
     quadratic_phase_table(two_pi_k * m_const, two_pi_k * m_lin,
-                          two_pi_k * q.by, height, tables.psi_re.data(),
-                          tables.psi_im.data());
+                          two_pi_k * q.by, height, tables.psi_re,
+                          tables.psi_im);
     quadratic_phase_table(two_pi_k * q.cxy * m0, two_pi_k * q.cxy, 0.0,
-                          height, tables.gam_re.data(),
-                          tables.gam_im.data());
+                          height, tables.gam_re,
+                          tables.gam_im);
   }
 }
 

@@ -125,7 +125,7 @@ AsrBreakdown measure_asr_breakdown(const sim::PhaseHistory& history,
     const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
     const auto blocks = asr::plan_blocks(region.x0, region.y0, region.width,
                                          region.height, block_w, block_h);
-    asr::BlockTables tables;
+    asr::TableWorkspace workspace;
     Timer timer;
     for (const auto& block : blocks) {
       const geometry::Vec3 centre = grid.position_f(
@@ -137,8 +137,9 @@ AsrBreakdown measure_asr_breakdown(const sim::PhaseHistory& history,
         const auto& meta = history.meta(p);
         const asr::Quadratic2D q = asr::range_quadratic(
             centre, meta.position, grid.spacing(), grid.spacing());
-        asr::build_block_tables_fast(q, meta.start_range_m, history.bin_spacing(),
-                                two_pi_k, block.width, block.height, tables);
+        asr::build_block_tables_fast(
+            q, meta.start_range_m, history.bin_spacing(), two_pi_k,
+            workspace.resize(block.width, block.height));
       }
     }
     b.precompute_s = timer.seconds();

@@ -44,7 +44,7 @@ void backproject_asr_scalar(const sim::PhaseHistory& history,
 
   const auto blocks = asr::plan_blocks(region.x0, region.y0, region.width,
                                        region.height, block_w, block_h);
-  asr::BlockTables tables;
+  asr::TableWorkspace workspace;
 
   for (const auto& block : blocks) {
     const geometry::Vec3 centre = grid.position_f(
@@ -61,8 +61,9 @@ void backproject_asr_scalar(const sim::PhaseHistory& history,
       const auto& meta = history.meta(p);
       const asr::Quadratic2D q =
           block_range_quadratic(centre, meta.position, grid.spacing(), order);
+      const asr::BlockTables& tables = workspace.resize(len_l, len_m);
       asr::build_block_tables_fast(q, meta.start_range_m, history.bin_spacing(),
-                                   two_pi_k, len_l, len_m, tables);
+                                   two_pi_k, tables);
       asr_sweep_block(tables, history.pulse(p).data(), samples, x_inner, bx,
                       by, len_l, len_m, out);
     }

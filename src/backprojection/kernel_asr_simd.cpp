@@ -141,7 +141,7 @@ void backproject_asr_simd(const sim::PhaseHistory& history,
 
   const auto blocks = asr::plan_blocks(region.x0, region.y0, region.width,
                                        region.height, block_w, block_h);
-  asr::BlockTables tables;
+  asr::TableWorkspace workspace;
   AlignedVector<float> scratch_re;
   AlignedVector<float> scratch_im;
 
@@ -162,9 +162,9 @@ void backproject_asr_simd(const sim::PhaseHistory& history,
       const auto& meta = history.meta(p);
       const asr::Quadratic2D q =
           block_range_quadratic(centre, meta.position, grid.spacing(), order);
+      const asr::BlockTables& tables = workspace.resize(len_l, len_m);
       asr::build_block_tables_fast(q, meta.start_range_m,
-                                   history.bin_spacing(), two_pi_k, len_l,
-                                   len_m, tables);
+                                   history.bin_spacing(), two_pi_k, tables);
       ops->rows_aos(tables, history.pulse(p).data(), samples,
                     scratch_re.data(), scratch_im.data(), len_l, len_l, len_m,
                     KernelVariant::kGather);

@@ -49,16 +49,20 @@ LocalityStats measure_gather_locality(const sim::PhaseHistory& history,
   stats.mean_run_length =
       static_cast<double>(bins.size()) / static_cast<double>(runs);
 
-  // Distinct 64-byte lines touched by each simd_width-wide gather of
-  // 4-byte elements (SoA plane; 16 bins per line).
-  constexpr Index kBinsPerLine = 16;
+  // Distinct 64-byte lines touched by each simd_width-wide gather from the
+  // AoS pulse buffer (8-byte complex samples, line-aligned at bin 0, so 8
+  // bins per line). Each lane interpolates In[bin] and In[bin + 1], 16
+  // bytes that straddle a line boundary when bin is the last of its line.
+  constexpr auto kBinsPerLine = static_cast<Index>(kSimdAlign / sizeof(CFloat));
   double total_lines = 0.0;
   std::size_t gathers = 0;
   for (std::size_t base = 0; base + static_cast<std::size_t>(simd_width) <= bins.size();
        base += static_cast<std::size_t>(simd_width)) {
     std::set<Index> lines;
     for (int lane = 0; lane < simd_width; ++lane) {
-      lines.insert(bins[base + static_cast<std::size_t>(lane)] / kBinsPerLine);
+      const Index bin = bins[base + static_cast<std::size_t>(lane)];
+      lines.insert(bin / kBinsPerLine);
+      lines.insert((bin + 1) / kBinsPerLine);
     }
     total_lines += static_cast<double>(lines.size());
     ++gathers;

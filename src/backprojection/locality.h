@@ -18,8 +18,10 @@ namespace sarbp::bp {
 
 struct LocalityStats {
   double mean_run_length = 0.0;      ///< consecutive same-bin accesses
-  double cache_lines_per_gather = 0.0;  ///< expected distinct 64 B lines per
-                                        ///< SIMD-width gather
+  /// Mean distinct 64 B lines one SIMD-width gather touches in the AoS
+  /// pulse buffer, counting both samples each lane interpolates: 1 at
+  /// best, 2 * simd_width at worst.
+  double cache_lines_per_gather = 0.0;
 };
 
 /// Measures access locality for one pulse under the given loop order.

@@ -101,7 +101,7 @@ Grid2D<CFloat> beamform_asr(const Transducer& transducer,
 
   const auto blocks =
       asr::plan_blocks(0, 0, region.width, region.depth, block_x, block_z);
-  asr::BlockTables tables;
+  asr::TableWorkspace workspace;
 
   for (const auto& spec : blocks) {
     // Block centre in physical coordinates; l walks x, m walks z.
@@ -120,8 +120,10 @@ Grid2D<CFloat> beamform_asr(const Transducer& transducer,
           {x_c, z_c, 0.0}, {xe, 0.0, 0.0}, region.pixel_m, region.pixel_m);
       q.f0 += z_c;
       q.ay += region.pixel_m;
+      const asr::BlockTables& tables =
+          workspace.resize(spec.width, spec.height);
       asr::build_block_tables_fast(q, /*start_range=*/0.0, dr, two_pi_k,
-                              spec.width, spec.height, tables);
+                                   tables);
 
       for (Index m = 0; m < spec.height; ++m) {
         const float bin_b = tables.bin_b[static_cast<std::size_t>(m)];

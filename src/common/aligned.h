@@ -3,7 +3,9 @@
 
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -45,5 +47,24 @@ class AlignedAllocator {
 /// Vector with 64-byte-aligned storage.
 template <class T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+struct AlignedDelete {
+  void operator()(void* p) const noexcept {
+    ::operator delete(p, std::align_val_t{kSimdAlign});
+  }
+};
+
+/// Fixed-size 64-byte-aligned array whose elements start uninitialized —
+/// for buffers written in full before they are read, where AlignedVector's
+/// zero fill would be wasted work.
+template <class T>
+using AlignedArray = std::unique_ptr<T[], AlignedDelete>;
+
+template <class T>
+[[nodiscard]] AlignedArray<T> make_aligned_array(std::size_t n) {
+  static_assert(std::is_trivially_default_constructible_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  return AlignedArray<T>(static_cast<T*>(AlignedAllocator<T>().allocate(n)));
+}
 
 }  // namespace sarbp

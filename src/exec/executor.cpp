@@ -68,7 +68,7 @@ bool TileExecutor::submit(GroupPtr group) {
   // sees the flag also sees the inbox close that follows it.
   if (draining_.load(std::memory_order_acquire)) return false;
   const bool accepted = inbox_.push(std::move(group));
-  if (accepted) notify_idle();
+  if (accepted) wake();
   return accepted;
 }
 
@@ -86,18 +86,23 @@ void TileExecutor::drain() {
   // observe the closed inbox, so no group is silently dropped.
   draining_.store(true, std::memory_order_release);
   inbox_.close();
-  notify_idle();
+  wake();
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
 }
 
-void TileExecutor::notify_idle() {
-  // Taking the lock orders the notify after any in-progress wait entry, so
-  // a worker that just decided to park cannot miss the wakeup forever (the
-  // bounded wait_for covers the remaining benign race).
-  { MutexLock lock(idle_mutex_); }
+void TileExecutor::wake() {
+  {
+    MutexLock lock(idle_mutex_);
+    ++wake_epoch_;
+  }
   idle_cv_.notify_all();
+}
+
+std::uint64_t TileExecutor::wake_epoch() {
+  MutexLock lock(idle_mutex_);
+  return wake_epoch_;
 }
 
 void TileExecutor::inject(GroupPtr group, int w) {
@@ -125,7 +130,7 @@ void TileExecutor::inject(GroupPtr group, int w) {
         static_cast<std::int64_t>(state.deque.size_approx()));
   }
   // New stealable tasks: wake parked peers.
-  notify_idle();
+  wake();
 }
 
 void TileExecutor::run_unit(TaskUnit* unit, int w, bool stolen) {
@@ -255,6 +260,10 @@ void TileExecutor::worker_loop(int w) {
   using namespace std::chrono_literals;
   WorkerState& state = *states_[static_cast<std::size_t>(w)];
   while (true) {
+    // Read before looking for work: any wake after this read moves the
+    // epoch, and step 5 then returns at once instead of parking.
+    const std::uint64_t epoch = wake_epoch();
+
     // 1. Drain our own deque (LIFO — stay cache-hot on the job we claimed).
     while (TaskUnit* unit = state.deque.pop()) {
       run_unit(unit, w, /*stolen=*/false);
@@ -274,7 +283,7 @@ void TileExecutor::worker_loop(int w) {
     // reporting it (drain sees a consistent backlog).
     if (options_.source && !source_done_.load(std::memory_order_acquire)) {
       bool end = false;
-      GroupPtr group = options_.source(w, 0us, &end);
+      GroupPtr group = options_.source(w, &end);
       // order: release — see the source_done_ note above.
       if (end) source_done_.store(true, std::memory_order_release);
       if (group) {
@@ -295,23 +304,10 @@ void TileExecutor::worker_loop(int w) {
         inbox_.closed();
     if (no_more_sources && inbox_.size() == 0 && all_deques_empty()) break;
 
-    // 5. Blocking waits: give the source a real budget, else park on the
-    // idle condition variable — inject()/drain() notify it, so new
-    // stealable work is picked up immediately and the bounded wait keeps
-    // steal retries and the exit check responsive without spinning.
-    // order: acquire — see the source_done_ note above.
-    if (options_.source && !source_done_.load(std::memory_order_acquire)) {
-      bool end = false;
-      GroupPtr group = options_.source(w, 1000us, &end);
-      // order: release — see the source_done_ note above.
-      if (end) source_done_.store(true, std::memory_order_release);
-      if (group) inject(std::move(group), w);
-    } else if (auto group = inbox_.try_pop_for(1ms)) {
-      inject(std::move(*group), w);
-    } else {
-      MutexLock lock(idle_mutex_);
-      idle_cv_.wait_for(lock, 200us);
-    }
+    // 5. Park until the next wake (inject, submit, the owner's wake(),
+    // drain). The bound only paces the exit check above.
+    MutexLock lock(idle_mutex_);
+    if (wake_epoch_ == epoch) idle_cv_.wait_for(lock, 1ms);
   }
 }
 

@@ -21,6 +21,16 @@
 // last task runs its on_complete (reduction + result publication), so the
 // claimer never blocks on the job it injected.
 //
+// Wake path: a worker with nothing to run, claim or steal parks in exactly
+// one place, on the idle condition variable, and leaves it as soon as the
+// wake epoch moves. inject() (new stealable tasks), submit() (new inbox
+// group), drain(), and the pool owner's wake() (its source gained a group)
+// all bump the epoch, so a parked peer joins a job at once instead of
+// finishing a timed wait in the source or the inbox first. A worker reads
+// the epoch before it looks for work and parks only if it has not moved
+// since, so a wake that races with the search is never lost; the bounded
+// park only paces the exit check.
+//
 // Instrumentation (per configured registry):
 //   counters   exec.tasks.run, exec.tasks.stolen, exec.tasks.skipped,
 //              exec.groups.{submitted,completed,aborted}, exec.steal.fail
@@ -30,7 +40,9 @@
 //              whole pool was kept hot for the job's entire wall time)
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -62,16 +74,15 @@ struct ExecOptions {
   /// executor a distinct prefix ("shard.<k>.") so their counters do not
   /// collapse into one series in a shared registry.
   std::string metric_prefix;
-  /// Pull-model job source for pool owners (the job service). Called by an
-  /// idle worker; may block up to ~`budget` waiting for work. Returns the
-  /// next group to inject (null when none is ready) and sets *end once no
-  /// more groups will ever arrive (admission closed and backlog drained) —
-  /// after which workers finish the remaining tasks and exit. A null
-  /// return with *end unset just means "poll again". The callback runs
-  /// concurrently on several workers and must be thread-safe.
-  std::function<GroupPtr(int worker, std::chrono::microseconds budget,
-                         bool* end)>
-      source;
+  /// Pull-model job source for pool owners (the job service). Polled by an
+  /// idle worker and must not wait for work: the owner calls wake() when a
+  /// group becomes available, so workers park only on the executor's own
+  /// wake path. Returns the next group to inject (null when none is ready)
+  /// and sets *end once no more groups will ever arrive (admission closed
+  /// and backlog drained) — after which workers finish the remaining tasks
+  /// and exit. The callback runs concurrently on several workers and must
+  /// be thread-safe.
+  std::function<GroupPtr(int worker, bool* end)> source;
 };
 
 class TileExecutor {
@@ -93,6 +104,10 @@ class TileExecutor {
   /// submit() + group->wait().
   void run(GroupPtr group);
 
+  /// Bumps the wake epoch: every parked worker returns to its loop at once.
+  /// Pool owners call it after their source gains a group.
+  void wake();
+
   /// Stops accepting submissions, runs every pending task to completion
   /// (including everything the source still hands out until it reports
   /// end-of-stream), and joins the workers. Idempotent; implied by the
@@ -112,8 +127,7 @@ class TileExecutor {
   void run_unit(TaskUnit* unit, int w, bool stolen);
   bool try_steal_and_run(int w);
   [[nodiscard]] bool all_deques_empty() const;
-  /// Wakes idle workers (new stealable work or shutdown).
-  void notify_idle();
+  [[nodiscard]] std::uint64_t wake_epoch();
 
   ExecOptions options_;
   obs::Registry* metrics_;
@@ -131,11 +145,10 @@ class TileExecutor {
   Mutex live_mutex_{SARBP_LOCK_LEVEL("exec.live")};
   std::unordered_map<TaskGroup*, GroupPtr> live_ SARBP_GUARDED_BY(live_mutex_);
 
-  /// Idle workers park here (bounded wait) instead of sleep-polling;
-  /// inject() and drain() notify so new stealable work or shutdown is
-  /// picked up immediately.
+  /// The one place idle workers park (see "Wake path" above).
   Mutex idle_mutex_{SARBP_LOCK_LEVEL("exec.idle")};
   CondVar idle_cv_;
+  std::uint64_t wake_epoch_ SARBP_GUARDED_BY(idle_mutex_) = 0;
 
   std::vector<std::thread> threads_;
 

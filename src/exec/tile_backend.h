@@ -7,8 +7,9 @@
 //
 // Layering: exec must not depend on the service layer, so backends sweep
 // through a PlanView — a non-owning projection of service::FormationPlan
-// (blocks, per-pulse loop order, prebuilt block-major ASR tables). The
-// service builds the view when it builds the task group.
+// (blocks, per-pulse loop order, and the block-major asr::BlockTables views
+// into the plan's table arena). The service builds the view when it builds
+// the task group.
 //
 // Identity contract: blocks cover disjoint pixel rectangles, and
 // HostScalarBackend::sweep_block runs exactly the plan executor's scalar
@@ -42,13 +43,16 @@ namespace sarbp::exec {
 
 /// Non-owning view of a formation plan: everything a backend needs to
 /// sweep one block. The owner (the service's plan-replay group) keeps the
-/// plan alive for the group's lifetime.
+/// plan alive for the group's lifetime. A block's tables must be filled
+/// before sweep_block reads them: on a plan-cache miss the replay task
+/// fills them just before the sweep (service/plan_cache.h).
 struct PlanView {
   const asr::BlockSpec* blocks = nullptr;  ///< [num_blocks]
   Index num_blocks = 0;
   const geometry::LoopOrder* pulse_order = nullptr;  ///< [num_pulses]
   Index num_pulses = 0;
-  /// Per-(block, pulse) tables, block-major: tables[b * num_pulses + p].
+  /// Per-(block, pulse) table views into the plan's arena, block-major:
+  /// tables[b * num_pulses + p].
   const asr::BlockTables* tables = nullptr;
   Index region_x0 = 0;
   Index region_y0 = 0;

@@ -30,14 +30,6 @@ inline std::uint64_t double_bits(double v) {
   return bits;
 }
 
-/// Approximate payload of one BlockTables (the float vectors).
-std::size_t tables_bytes(const asr::BlockTables& t) {
-  return (t.bin_a.size() + t.bin_b.size() + t.bin_c.size() + t.phi_re.size() +
-          t.phi_im.size() + t.psi_re.size() + t.psi_im.size() +
-          t.gam_re.size() + t.gam_im.size()) *
-         sizeof(float);
-}
-
 }  // namespace
 
 std::uint64_t pulse_geometry_signature(const sim::PhaseHistory& history) {
@@ -89,13 +81,13 @@ PlanKey make_plan_key(const geometry::ImageGrid& grid, const Region& region,
   return key;
 }
 
-std::shared_ptr<const FormationPlan> build_formation_plan(
+std::shared_ptr<FormationPlan> build_plan_skeleton(
     const geometry::ImageGrid& grid, const Region& region, Index block_w,
     Index block_h, const sim::PhaseHistory& history) {
-  ensure(!region.empty(), "build_formation_plan: empty region");
+  ensure(!region.empty(), "build_plan_skeleton: empty region");
   ensure(block_w > 0 && block_h > 0,
-         "build_formation_plan: ASR block must be positive");
-  ensure(history.num_pulses() > 0, "build_formation_plan: no pulses");
+         "build_plan_skeleton: ASR block must be positive");
+  ensure(history.num_pulses() > 0, "build_plan_skeleton: no pulses");
 
   auto plan = std::make_shared<FormationPlan>();
   plan->key = make_plan_key(grid, region, block_w, block_h, history);
@@ -109,32 +101,62 @@ std::shared_ptr<const FormationPlan> build_formation_plan(
         geometry::choose_loop_order(history.meta(p).position, grid.centre());
   }
 
-  const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
-  plan->tables.resize(plan->blocks.size() * static_cast<std::size_t>(pulses));
-  for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
-    const auto& block = plan->blocks[b];
-    const geometry::Vec3 centre = grid.position_f(
-        static_cast<double>(block.x0) +
-            0.5 * static_cast<double>(block.width - 1),
-        static_cast<double>(block.y0) +
-            0.5 * static_cast<double>(block.height - 1));
-    for (Index p = 0; p < pulses; ++p) {
-      const geometry::LoopOrder order =
-          plan->pulse_order[static_cast<std::size_t>(p)];
-      const bool x_inner = order == geometry::LoopOrder::kXInner;
-      const Index len_l = x_inner ? block.width : block.height;
-      const Index len_m = x_inner ? block.height : block.width;
-      const auto& meta = history.meta(p);
-      const asr::Quadratic2D q = bp::block_range_quadratic(
-          centre, meta.position, grid.spacing(), order);
-      asr::BlockTables& tables =
-          plan->tables[b * static_cast<std::size_t>(pulses) +
-                       static_cast<std::size_t>(p)];
-      asr::build_block_tables_fast(q, meta.start_range_m,
-                                   history.bin_spacing(), two_pi_k, len_l,
-                                   len_m, tables);
-      plan->bytes += tables_bytes(tables);
+  // Size the arena, then carve every (block, pulse) view out of it in
+  // block-major order. l is the inner image axis of the pulse's order.
+  const auto table_dims = [](const asr::BlockSpec& block,
+                             geometry::LoopOrder order) {
+    return order == geometry::LoopOrder::kXInner
+               ? std::pair{block.width, block.height}
+               : std::pair{block.height, block.width};
+  };
+  std::size_t floats = 0;
+  for (const auto& block : plan->blocks) {
+    for (const geometry::LoopOrder order : plan->pulse_order) {
+      const auto [len_l, len_m] = table_dims(block, order);
+      floats += asr::table_floats(len_l, len_m);
     }
+  }
+  plan->arena = make_aligned_array<float>(floats);
+  plan->bytes = floats * sizeof(float);
+  plan->tables.reserve(plan->blocks.size() * static_cast<std::size_t>(pulses));
+  float* next = plan->arena.get();
+  for (const auto& block : plan->blocks) {
+    for (const geometry::LoopOrder order : plan->pulse_order) {
+      const auto [len_l, len_m] = table_dims(block, order);
+      plan->tables.push_back(asr::carve_tables(next, len_l, len_m));
+      next += asr::table_floats(len_l, len_m);
+    }
+  }
+  return plan;
+}
+
+void fill_plan_block(const FormationPlan& plan,
+                     const sim::PhaseHistory& history, std::size_t block) {
+  const PlanKey& key = plan.key;
+  const geometry::ImageGrid grid(key.grid_w, key.grid_h, key.spacing,
+                                 key.centre);
+  const auto& spec = plan.blocks[block];
+  const geometry::Vec3 centre = grid.position_f(
+      static_cast<double>(spec.x0) + 0.5 * static_cast<double>(spec.width - 1),
+      static_cast<double>(spec.y0) +
+          0.5 * static_cast<double>(spec.height - 1));
+  const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
+  for (Index p = 0; p < plan.num_pulses(); ++p) {
+    const auto& meta = history.meta(p);
+    const asr::Quadratic2D q = bp::block_range_quadratic(
+        centre, meta.position, grid.spacing(),
+        plan.pulse_order[static_cast<std::size_t>(p)]);
+    asr::build_block_tables_fast(q, meta.start_range_m, history.bin_spacing(),
+                                 two_pi_k, plan.tables_for(block, p));
+  }
+}
+
+std::shared_ptr<const FormationPlan> build_formation_plan(
+    const geometry::ImageGrid& grid, const Region& region, Index block_w,
+    Index block_h, const sim::PhaseHistory& history) {
+  auto plan = build_plan_skeleton(grid, region, block_w, block_h, history);
+  for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
+    fill_plan_block(*plan, history, b);
   }
   return plan;
 }
@@ -194,7 +216,7 @@ exec::GroupPtr make_plan_replay_group(
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin, Index pulse_end,
-    std::shared_ptr<exec::BackendSet> backends) {
+    std::shared_ptr<exec::BackendSet> backends, bool fill) {
   ensure(plan != nullptr && history != nullptr && tile != nullptr,
          "make_plan_replay_group: null plan/history/tile");
   ensure(history->num_pulses() == plan->num_pulses(),
@@ -226,9 +248,9 @@ exec::GroupPtr make_plan_replay_group(
 
   // Backend routing (§5.3): each backend owns a contiguous block range
   // sized by the current dynamic split, sub-divided into tasks in
-  // proportion to its share of the fan-out. Each task times its whole
-  // sweep and feeds the backend's observed-rate tracker, which steers
-  // the *next* job's partition.
+  // proportion to its share of the fan-out. Each task times its sweeps
+  // (not its table fills) and feeds the backend's observed-rate tracker,
+  // which steers the *next* job's partition.
   const std::vector<Index> bounds = backends->partition(nblocks);
   const Index pulses = pulse_end - pulse_begin;
   for (int k = 0; k < backends->size(); ++k) {
@@ -246,10 +268,11 @@ exec::GroupPtr make_plan_replay_group(
       const Index b1 = k0 + bp::split_begin(kblocks, ktasks, ti + 1);
       exec::TileBackend* backend = &backends->backend(k);
       tasks.push_back([plan, history, tile, checkpoint, backends, backend,
-                       b0, b1, pulse_begin, pulse_end,
-                       pulses](int, exec::TaskGroup& group) {
+                       b0, b1, pulse_begin, pulse_end, pulses,
+                       fill](int, exec::TaskGroup& group) {
         const exec::PlanView view = plan_view(*plan);
         Timer timer;
+        double fill_seconds = 0.0;
         double backprojections = 0.0;
         for (Index b = b0; b < b1; ++b) {
           // Same granularity as execute_plan: one cancellation poll per
@@ -258,6 +281,13 @@ exec::GroupPtr make_plan_replay_group(
             group.abort();
             return;
           }
+          if (fill) {
+            // The block's tables are still in cache when the sweep reads
+            // them.
+            Timer fill_timer;
+            fill_plan_block(*plan, *history, static_cast<std::size_t>(b));
+            fill_seconds += fill_timer.seconds();
+          }
           const auto& block = plan->blocks[static_cast<std::size_t>(b)];
           backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
                                *tile);
@@ -265,7 +295,7 @@ exec::GroupPtr make_plan_replay_group(
                              static_cast<double>(block.height) *
                              static_cast<double>(pulses);
         }
-        backend->record(backprojections, timer.seconds());
+        backend->record(backprojections, timer.seconds() - fill_seconds);
       });
     }
   }
@@ -287,29 +317,43 @@ PlanCache::PlanCache(std::size_t capacity, obs::Registry* metrics)
   }
 }
 
-std::shared_ptr<const FormationPlan> PlanCache::get_or_build(
-    const geometry::ImageGrid& grid, const Region& region, Index block_w,
-    Index block_h, const sim::PhaseHistory& history, bool* hit) {
-  const PlanKey key = make_plan_key(grid, region, block_w, block_h, history);
+std::shared_ptr<const FormationPlan> PlanCache::find(const PlanKey& key) {
   {
     MutexLock lock(mutex_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       if (hits_) hits_->add();
-      if (hit != nullptr) *hit = true;
       return *it->second;
     }
   }
   if (misses_) misses_->add();
-  if (hit != nullptr) *hit = false;
-  auto plan = build_formation_plan(grid, region, block_w, block_h, history);
-  if (capacity_ > 0) {
-    MutexLock lock(mutex_);
-    if (index_.find(key) == index_.end()) {
-      insert_locked(plan);
-    }
-  }
+  return nullptr;
+}
+
+void PlanCache::insert(std::shared_ptr<const FormationPlan> plan) {
+  if (capacity_ == 0) return;
+  MutexLock lock(mutex_);
+  if (index_.find(plan->key) == index_.end()) insert_locked(std::move(plan));
+}
+
+std::shared_ptr<const FormationPlan> PlanCache::find_or_skeleton(
+    const geometry::ImageGrid& grid, const Region& region, Index block_w,
+    Index block_h, const sim::PhaseHistory& history, bool* hit) {
+  auto plan = find(make_plan_key(grid, region, block_w, block_h, history));
+  *hit = plan != nullptr;
+  if (plan != nullptr) return plan;
+  return build_plan_skeleton(grid, region, block_w, block_h, history);
+}
+
+std::shared_ptr<const FormationPlan> PlanCache::get_or_build(
+    const geometry::ImageGrid& grid, const Region& region, Index block_w,
+    Index block_h, const sim::PhaseHistory& history, bool* hit) {
+  auto plan = find(make_plan_key(grid, region, block_w, block_h, history));
+  if (hit != nullptr) *hit = plan != nullptr;
+  if (plan != nullptr) return plan;
+  plan = build_formation_plan(grid, region, block_w, block_h, history);
+  insert(plan);
   return plan;
 }
 

@@ -12,6 +12,15 @@
 // (kernel_asr_block.h), so its image is bit-identical to the streaming
 // path; the service's default host SIMD replay agrees with it at > 70 dB.
 //
+// A plan keeps all its tables in one arena, sized in one allocation by the
+// skeleton step (build_plan_skeleton) and written block by block by the
+// fill step (fill_plan_block). On a cache miss the service builds only the
+// skeleton during setup; the replay group's tasks fill each block's tables
+// just before they sweep that block (make_plan_replay_group's `fill`), so
+// the build is spread over every worker and swept while still in cache.
+// The plan enters the cache from the group's completion, and only when the
+// group was not aborted: a cancelled or expired job leaves no entry.
+//
 // Cache keying: (grid geometry, region, ASR block size, pulse-geometry
 // signature). The signature hashes per-pulse positions/start ranges plus
 // the sampling constants — two collections with equal trajectories hit the
@@ -30,6 +39,7 @@
 #include "asr/block_plan.h"
 #include "asr/tables.h"
 #include "backprojection/soa_tile.h"
+#include "common/aligned.h"
 #include "common/region.h"
 #include "exec/task_group.h"
 #include "exec/tile_backend.h"
@@ -74,9 +84,14 @@ struct FormationPlan {
   PlanKey key;
   std::vector<asr::BlockSpec> blocks;
   std::vector<geometry::LoopOrder> pulse_order;  ///< [pulses]
-  /// Per-(block, pulse) tables, block-major: tables[b * pulses + p].
+  /// Per-(block, pulse) views into `arena`, block-major:
+  /// tables[b * pulses + p]. Each view is carved by asr::carve_tables, and
+  /// one block's sets lie contiguous in the arena.
   std::vector<asr::BlockTables> tables;
-  std::size_t bytes = 0;  ///< approximate resident size (table payloads)
+  /// Every table set of the plan in one allocation; uninitialized until
+  /// fill_plan_block has written each block.
+  AlignedArray<float> arena;
+  std::size_t bytes = 0;  ///< arena size in bytes
 
   [[nodiscard]] Index num_pulses() const {
     return static_cast<Index>(pulse_order.size());
@@ -87,8 +102,24 @@ struct FormationPlan {
   }
 };
 
-/// Builds a plan from scratch — the cache-miss path, and the "cache off"
-/// baseline the throughput bench compares against.
+/// Skeleton step of a plan build: key, blocks, per-pulse loop order and
+/// the sized arena with every table view carved, but no table written.
+[[nodiscard]] std::shared_ptr<FormationPlan> build_plan_skeleton(
+    const geometry::ImageGrid& grid, const Region& region, Index block_w,
+    Index block_h, const sim::PhaseHistory& history);
+
+/// Fill step: writes every pulse's tables of one block through the plan's
+/// views (the arena is the only part written, so a plan shared read-only
+/// with the replay tasks can still be filled). `history` must carry the
+/// plan's pulse geometry. Distinct blocks own disjoint arena ranges and
+/// may be filled concurrently; a plan must not be published to readers
+/// until all its blocks are filled.
+void fill_plan_block(const FormationPlan& plan,
+                     const sim::PhaseHistory& history, std::size_t block);
+
+/// Builds a whole plan on the calling thread (skeleton, then every block's
+/// fill) — for the pulse-scatter front end, whose shards share one plan,
+/// and for benches and tests.
 [[nodiscard]] std::shared_ptr<const FormationPlan> build_formation_plan(
     const geometry::ImageGrid& grid, const Region& region, Index block_w,
     Index block_h, const sim::PhaseHistory& history);
@@ -131,6 +162,12 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 /// one HostScalarBackend (metrics in the global registry); any set of
 /// only scalar backends is byte-identical to execute_plan (disjoint block
 /// rectangles; same per-block pulse order).
+///
+/// `fill` marks `plan` as a skeleton (build_plan_skeleton) that no other
+/// group reads: each task fills a block's tables (fill_plan_block) just
+/// before it sweeps that block, and the fill time is kept out of the
+/// backend's observed rate. The plan is complete once the group finishes
+/// unaborted — the caller's `on_complete` is where it may be published.
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,
@@ -138,16 +175,18 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin = 0, Index pulse_end = -1,
-    std::shared_ptr<exec::BackendSet> backends = nullptr);
+    std::shared_ptr<exec::BackendSet> backends = nullptr, bool fill = false);
 
 /// Thread-safe LRU cache of formation plans.
 ///
-/// A capacity of 0 disables retention: every lookup builds (and counts a
-/// miss) — the knob the bench uses for its cache-off baseline. Lookups that
-/// miss build *outside* the lock, so concurrent workers missing on the same
-/// key may build duplicate plans; the last insert wins and the duplicates
-/// are garbage-collected by shared_ptr. That trade keeps a slow build from
-/// stalling unrelated hits.
+/// A capacity of 0 disables retention: every lookup misses — the knob the
+/// bench uses for its cache-off baseline. Plans are built *outside* the
+/// lock, and on the service's miss path a plan is inserted only when the
+/// job that filled it completes, so concurrent jobs missing on the same key
+/// (including any that arrive while the first is still computing) build
+/// duplicate plans; the first insert wins and the duplicates are
+/// garbage-collected by shared_ptr. That trade keeps a slow build from
+/// stalling unrelated hits; single-flight builds are an open item.
 ///
 /// Metrics (under the provided registry or the global one):
 ///   service.plan_cache.{hits,misses,evictions} counters,
@@ -159,8 +198,20 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the plan for the request's geometry, building it on a miss.
-  /// `hit` (optional) reports whether the cache satisfied the lookup.
+  /// The miss path's lookup: the cached plan when there is one (*hit =
+  /// true), else a fresh build_plan_skeleton (*hit = false) for a replay
+  /// group to fill and the caller to insert once that group completes.
+  std::shared_ptr<const FormationPlan> find_or_skeleton(
+      const geometry::ImageGrid& grid, const Region& region, Index block_w,
+      Index block_h, const sim::PhaseHistory& history, bool* hit);
+
+  /// Publishes a complete plan. A plan already cached under its key wins;
+  /// a capacity of 0 retains nothing.
+  void insert(std::shared_ptr<const FormationPlan> plan);
+
+  /// The cached plan, else build_formation_plan on the calling thread and
+  /// insert — the pulse-scatter front end's lookup, whose shards share the
+  /// plan. `hit` (optional) reports whether the cache satisfied the lookup.
   std::shared_ptr<const FormationPlan> get_or_build(
       const geometry::ImageGrid& grid, const Region& region, Index block_w,
       Index block_h, const sim::PhaseHistory& history, bool* hit = nullptr);
@@ -171,6 +222,9 @@ class PlanCache {
   void clear();
 
  private:
+  /// The cached plan for `key` (now most recently used), or null. Counts a
+  /// hit or a miss.
+  std::shared_ptr<const FormationPlan> find(const PlanKey& key);
   void insert_locked(std::shared_ptr<const FormationPlan> plan)
       SARBP_REQUIRES(mutex_);
   void update_gauges_locked() SARBP_REQUIRES(mutex_);

@@ -59,9 +59,8 @@ ImageFormationService::ImageFormationService(ServiceConfig config)
     exec_options.workers = config_.workers;
     exec_options.steal = config_.steal;
     exec_options.metrics = metrics_;
-    exec_options.source = [this](int worker, std::chrono::microseconds budget,
-                                 bool* end) {
-      return next_group(worker, budget, end);
+    exec_options.source = [this](int worker, bool* end) {
+      return next_group(worker, end);
     };
     exec_ = std::make_unique<exec::TileExecutor>(std::move(exec_options));
   }
@@ -110,6 +109,8 @@ SubmitOutcome ImageFormationService::submit(ImageFormationRequest request) {
   switch (sched_->submit(job, config_.admission_grace)) {
     case AdmitResult::kAdmitted:
       if (submitted_) submitted_->add();
+      // Parked workers poll the scheduler only when woken.
+      if (exec_) exec_->wake();
       return {std::move(job), RejectReason::kNone};
     case AdmitResult::kQueueFull:
       return reject(RejectReason::kQueueFull);
@@ -144,10 +145,9 @@ void ImageFormationService::wait_gate() {
   while (!gate_open_) gate_cv_.wait(lock);
 }
 
-exec::GroupPtr ImageFormationService::next_group(
-    int /*worker*/, std::chrono::microseconds budget, bool* end) {
+exec::GroupPtr ImageFormationService::next_group(int /*worker*/, bool* end) {
   wait_gate();
-  JobPtr job = sched_->claim(budget, end);
+  JobPtr job = sched_->claim(std::chrono::microseconds(0), end);
   if (job == nullptr) return nullptr;
   return build_job_group(job);
 }
@@ -301,10 +301,13 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
   double setup_seconds = 0.0;
   std::shared_ptr<const FormationPlan> plan;
   try {
+    // On a miss this is only the plan's skeleton: the job's tasks fill it
+    // as they sweep, and the completion publishes it.
     Timer setup_timer;
-    plan = plan_cache_.get_or_build(request.grid, region, request.asr_block_w,
-                                    request.asr_block_h, *request.pulses,
-                                    &cache_hit);
+    plan = plan_cache_.find_or_skeleton(request.grid, region,
+                                        request.asr_block_w,
+                                        request.asr_block_h, *request.pulses,
+                                        &cache_hit);
     setup_seconds = setup_timer.seconds();
     if (setup_s_) setup_s_->record(setup_seconds);
   } catch (const std::exception& e) {
@@ -328,7 +331,7 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
   // image (or the failure) and resolve the handle. The claiming worker has
   // long since moved on to the next claim.
   auto done = [this, ctx, job, tile, region, cache_hit, setup_seconds,
-               queued_for](exec::TaskGroup& group) {
+               queued_for, plan](exec::TaskGroup& group) {
     const double compute_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       ctx->compute_start)
@@ -349,6 +352,10 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
     }
     Grid2D<CFloat> image(0, 0);
     if (outcome == JobState::kDone) {
+      // Every task ran to completion, so every block of a missed plan is
+      // filled; the executor's acq_rel retire edge orders those writes
+      // before this continuation, and the cache mutex publishes them.
+      if (!cache_hit) plan_cache_.insert(plan);
       image = Grid2D<CFloat>(region.width, region.height);
       tile->accumulate_into(image, Region{0, 0, region.width, region.height});
     }
@@ -369,7 +376,8 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
                                 config_.workers, config_.tile_tasks,
                                 std::move(tile), std::move(checkpoint),
                                 std::move(done), /*pulse_begin=*/0,
-                                /*pulse_end=*/-1, backend_set_);
+                                /*pulse_end=*/-1, backend_set_,
+                                /*fill=*/!cache_hit);
 }
 
 }  // namespace sarbp::service

@@ -189,9 +189,9 @@ class ImageFormationService {
   SubmitOutcome reject(RejectReason reason);
 
   /// The local executor's pull-model source: claims the next job from the
-  /// fair scheduler and turns it into a task group.
-  exec::GroupPtr next_group(int worker, std::chrono::microseconds budget,
-                            bool* end);
+  /// fair scheduler without waiting and turns it into a task group
+  /// (submit() wakes the executor when it admits a job).
+  exec::GroupPtr next_group(int worker, bool* end);
   /// Runs the claim-side of a job (queue accounting, deadline check,
   /// RUNNING transition, plan setup) and builds its plan-replay group.
   /// Null when the job resolved terminally without any compute.

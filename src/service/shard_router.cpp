@@ -298,14 +298,18 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
   try {
     const auto& request = ctx.job->request();
     std::shared_ptr<const FormationPlan> plan = ctx.plan;
+    // A skeleton this part's tasks fill as they sweep, published below.
+    std::shared_ptr<const FormationPlan> skeleton;
     if (plan == nullptr) {
       // Single-shard and grid-split routes plan their own (sub-)region —
-      // through the shared cache, so repeated scenes still hit.
+      // through the shared cache, so repeated scenes still hit. A miss
+      // fills its tables inside the replay, like the local service.
       bool hit = false;
-      plan = config_.plan_cache->get_or_build(
+      plan = config_.plan_cache->find_or_skeleton(
           request.grid, part.region, request.asr_block_w, request.asr_block_h,
           *request.pulses, &hit);
       header.cache_hit = hit ? 1 : 0;
+      if (!hit) skeleton = plan;
     }
 
     auto state = std::make_shared<PartState>(kPartDone);
@@ -327,10 +331,16 @@ std::vector<std::byte> ShardRouter::run_part(exec::TileExecutor& exec,
 
     auto tile =
         std::make_shared<bp::SoaTile>(part.region.width, part.region.height);
+    // Publishes a filled skeleton once every task has run; the executor's
+    // acq_rel retire edge orders the fills before this continuation.
+    auto publish = [this, skeleton](exec::TaskGroup& g) {
+      if (skeleton && !g.aborted()) config_.plan_cache->insert(skeleton);
+    };
     auto group = make_plan_replay_group(
         std::move(plan), request.pulses, config_.shard_workers,
-        config_.tile_tasks, tile, std::move(checkpoint), nullptr,
-        part.pulse_begin, part.pulse_end, config_.backends);
+        config_.tile_tasks, tile, std::move(checkpoint), std::move(publish),
+        part.pulse_begin, part.pulse_end, config_.backends,
+        /*fill=*/skeleton != nullptr);
     exec.run(group);
     header.compute_seconds = compute_timer.seconds();
     {

@@ -21,10 +21,10 @@
 namespace sarbp::streaming {
 namespace {
 
-/// Per-task scratch: the on-the-fly BlockTables plus the SIMD y_inner
+/// Per-task scratch: the on-the-fly table workspace plus the SIMD y_inner
 /// workspace, reused across every (block, pulse) pair the task sweeps.
 struct SweepScratch {
-  asr::BlockTables tables;
+  asr::TableWorkspace tables;
   AlignedVector<float> ws_re;
   AlignedVector<float> ws_im;
 };
@@ -62,10 +62,10 @@ std::uint64_t sweep_block(const geometry::ImageGrid& grid,
       const Index len_m = x_inner ? block.height : block.width;
       const asr::Quadratic2D q = bp::block_range_quadratic(
           centre, meta.position, grid.spacing(), order);
+      const asr::BlockTables& tables = scratch.tables.resize(len_l, len_m);
       asr::build_block_tables_fast(q, meta.start_range_m,
-                                   chunk->bin_spacing(), two_pi_k, len_l,
-                                   len_m, scratch.tables);
-      bp::asr_plan_sweep_simd(scratch.tables, chunk->pulse(p).data(),
+                                   chunk->bin_spacing(), two_pi_k, tables);
+      bp::asr_plan_sweep_simd(tables, chunk->pulse(p).data(),
                               samples, x_inner, bx, by, len_l, len_m, tile,
                               bp::SimdIsa::kAuto, bp::KernelVariant::kAuto,
                               scratch.ws_re, scratch.ws_im);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "asr/block_plan.h"
@@ -163,8 +164,9 @@ TEST(Tables, BinTableMatchesQuadraticDirectly) {
   const double r0 = q.f0 - 400.0;
   const double dr = 0.42;
   const Index L = 32, M = 24;
-  BlockTables t;
-  build_block_tables(q, r0, dr, 0.001, L, M, t);
+  TableWorkspace ws;
+  const BlockTables& t = ws.resize(L, M);
+  build_block_tables(q, r0, dr, 0.001, t);
   const double l0 = -0.5 * static_cast<double>(L - 1);
   const double m0 = -0.5 * static_cast<double>(M - 1);
   for (Index m = 0; m < M; m += 3) {
@@ -184,8 +186,9 @@ TEST(Tables, TrigTablesReconstructPhase) {
   const Quadratic2D q = range_quadratic(centre, radar, 1.0, 1.0);
   const double two_pi_k = kTwoPi * 64.0;
   const Index L = 16, M = 16;
-  BlockTables t;
-  build_block_tables(q, q.f0 - 100.0, 0.5, two_pi_k, L, M, t);
+  TableWorkspace ws;
+  const BlockTables& t = ws.resize(L, M);
+  build_block_tables(q, q.f0 - 100.0, 0.5, two_pi_k, t);
   const double l0 = -0.5 * static_cast<double>(L - 1);
   const double m0 = -0.5 * static_cast<double>(M - 1);
   for (Index m = 0; m < M; ++m) {
@@ -226,10 +229,12 @@ TEST(Tables, FastBuilderMatchesReference) {
     const double two_pi_k = kTwoPi * 64.05;
     const Index L = 16 + 29 * trial;  // odd sizes, up to 161
     const Index M = 8 + 37 * trial;
-    BlockTables ref;
-    BlockTables fast;
-    build_block_tables(q, r0, 0.416, two_pi_k, L, M, ref);
-    build_block_tables_fast(q, r0, 0.416, two_pi_k, L, M, fast);
+    TableWorkspace ref_ws;
+    TableWorkspace fast_ws;
+    const BlockTables& ref = ref_ws.resize(L, M);
+    const BlockTables& fast = fast_ws.resize(L, M);
+    build_block_tables(q, r0, 0.416, two_pi_k, ref);
+    build_block_tables_fast(q, r0, 0.416, two_pi_k, fast);
     for (Index l = 0; l < L; ++l) {
       const auto li = static_cast<std::size_t>(l);
       ASSERT_NEAR(fast.bin_a[li], ref.bin_a[li], 2e-3) << trial << " l=" << l;
@@ -253,11 +258,12 @@ TEST(Tables, FastBuilderStableOverLongBlocks) {
   const geometry::Vec3 radar{40000, 0, 8000};
   const geometry::Vec3 centre{0, 0, 0};
   const Quadratic2D q = range_quadratic(centre, radar, 0.5, 0.5);
-  BlockTables ref;
-  BlockTables fast;
-  build_block_tables(q, q.f0 - 200.0, 0.416, kTwoPi * 64.05, 512, 512, ref);
-  build_block_tables_fast(q, q.f0 - 200.0, 0.416, kTwoPi * 64.05, 512, 512,
-                          fast);
+  TableWorkspace ref_ws;
+  TableWorkspace fast_ws;
+  const BlockTables& ref = ref_ws.resize(512, 512);
+  const BlockTables& fast = fast_ws.resize(512, 512);
+  build_block_tables(q, q.f0 - 200.0, 0.416, kTwoPi * 64.05, ref);
+  build_block_tables_fast(q, q.f0 - 200.0, 0.416, kTwoPi * 64.05, fast);
   float worst = 0.0f;
   for (Index l = 0; l < 512; ++l) {
     const auto li = static_cast<std::size_t>(l);
@@ -275,15 +281,24 @@ TEST(Tables, FastBuilderStableOverLongBlocks) {
 }
 
 TEST(Tables, ResizeReusesCapacity) {
-  BlockTables t;
-  t.resize(64, 64);
-  EXPECT_EQ(t.bin_a.size(), 64u);
-  EXPECT_EQ(t.psi_re.size(), 64u);
-  t.resize(16, 8);
+  TableWorkspace ws;
+  const float* base = ws.resize(64, 64).bin_a;
+  const BlockTables& t = ws.resize(16, 8);
   EXPECT_EQ(t.width, 16);
   EXPECT_EQ(t.height, 8);
-  EXPECT_EQ(t.bin_a.size(), 16u);
-  EXPECT_EQ(t.bin_b.size(), 8u);
+  EXPECT_EQ(t.bin_a, base);  // a smaller table reuses the storage
+  // Nine disjoint arrays, each starting on its own 64-byte line, filling
+  // exactly table_floats(16, 8) floats.
+  const float* arrays[] = {t.bin_a,  t.phi_re, t.phi_im, t.bin_b, t.bin_c,
+                           t.psi_re, t.psi_im, t.gam_re, t.gam_im};
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arrays[i]) % kSimdAlign, 0u);
+    if (i > 0) {
+      EXPECT_EQ(arrays[i] - arrays[i - 1], 16);
+    }
+  }
+  EXPECT_EQ(table_floats(16, 8), 9u * 16u);
+  EXPECT_EQ(table_floats(17, 64), 3u * 32u + 6u * 64u);
 }
 
 TEST(BlockPlan, CoversRegionExactlyOnce) {

@@ -367,8 +367,10 @@ TEST(Locality, CacheLinesPerGatherBounded) {
   const Region all{0, 0, s.grid.width(), s.grid.height()};
   const LocalityStats stats = measure_gather_locality(
       s.history, s.grid, all, 0, geometry::LoopOrder::kXInner, 16);
+  // Each lane reads two adjacent 8-byte samples, which may sit on two
+  // lines: at most 2 lines per lane.
   EXPECT_GE(stats.cache_lines_per_gather, 1.0);
-  EXPECT_LE(stats.cache_lines_per_gather, 16.0);
+  EXPECT_LE(stats.cache_lines_per_gather, 32.0);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -257,7 +259,7 @@ TEST(TileExecutor, PullSourceDrainsToEndOfStream) {
   options.workers = 2;
   obs::Registry registry;
   options.metrics = &registry;
-  options.source = [&](int, std::chrono::microseconds, bool* end) -> GroupPtr {
+  options.source = [&](int, bool* end) -> GroupPtr {
     const int n = handed.fetch_add(1, std::memory_order_acq_rel);
     if (n >= kGroups) {
       handed.store(kGroups, std::memory_order_release);
@@ -275,6 +277,59 @@ TEST(TileExecutor, PullSourceDrainsToEndOfStream) {
     executor.drain();
   }
   EXPECT_EQ(completed.load(), kGroups);
+}
+
+TEST(TileExecutor, ParkedPeerStealsFromGroupAnotherWorkerInjected) {
+  // Two workers and a pull source that hands out one two-task group. The
+  // first task to start holds its worker for up to 10 s until the other
+  // task has started, so the group finishes promptly only if the idle peer
+  // is woken by the injection and steals. An executor that waits for work
+  // inside its source, which nothing but new jobs wakes, fails here.
+  std::mutex m;
+  std::condition_variable cv;
+  int started = 0;
+  bool handed = false;
+  bool finished = false;
+  std::vector<int> ran_on;
+
+  std::vector<TaskGroup::Task> tasks;
+  for (int i = 0; i < 2; ++i) {
+    tasks.push_back([&](int w, TaskGroup&) {
+      std::unique_lock lock(m);
+      ran_on.push_back(w);
+      ++started;
+      cv.notify_all();
+      cv.wait_for(lock, 10s, [&] { return started == 2; });
+    });
+  }
+  auto group = std::make_shared<TaskGroup>(
+      std::move(tasks), nullptr, [&](TaskGroup&) {
+        std::lock_guard lock(m);
+        finished = true;
+      });
+
+  ExecOptions options;
+  options.workers = 2;
+  obs::Registry registry;
+  options.metrics = &registry;
+  options.source = [&](int, bool* end) -> GroupPtr {
+    std::lock_guard lock(m);
+    if (finished) *end = true;
+    if (handed) return nullptr;
+    handed = true;
+    return group;
+  };
+  const auto start = std::chrono::steady_clock::now();
+  {
+    TileExecutor executor(std::move(options));
+    group->wait();
+    executor.drain();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+  EXPECT_EQ(started, 2);
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_EQ(group->tasks_stolen(), 1u);
 }
 
 TEST(TileExecutor, SubmitAfterDrainIsRejected) {

@@ -1,23 +1,28 @@
 // Job-service tests: planned-executor parity with the streaming scalar
 // kernel, end-to-end image accuracy through the service, strict-priority
 // scheduling, admission control, cancellation (queued and running),
-// deadline expiry, plan-cache behaviour via the obs counters, drain with
-// jobs in flight, and the request-trace JSON round trip.
+// deadline expiry, plan-cache behaviour via the obs counters, the plan
+// table arena and the miss path that fills it inside the replay, drain
+// with jobs in flight, and the request-trace JSON round trip.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <numbers>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "asr/tables.h"
 #include "backprojection/kernel.h"
+#include "backprojection/kernel_asr_block.h"
 #include "exec/task_group.h"
 #include "common/check.h"
 #include "common/snr.h"
@@ -63,7 +68,113 @@ ImageFormationRequest tiny_request(
   return req;
 }
 
+/// `history` with every odd pulse's radar rotated 90 degrees about the
+/// scene: the plan then mixes both loop orders.
+sim::PhaseHistory mixed_order_history(const sim::PhaseHistory& history) {
+  sim::PhaseHistory out = history;
+  for (Index p = 1; p < out.num_pulses(); p += 2) {
+    geometry::Vec3& pos = out.meta(p).position;
+    pos = {-pos.y, pos.x, pos.z};
+  }
+  return out;
+}
+
+bool same_bytes(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(CFloat)) == 0;
+}
+
+/// The scalar-anchor image: a whole plan built on the calling thread and
+/// replayed by execute_plan.
+Grid2D<CFloat> execute_plan_image(const geometry::ImageGrid& grid,
+                                  const Region& region, Index block,
+                                  const sim::PhaseHistory& history) {
+  const auto plan = build_formation_plan(grid, region, block, block, history);
+  bp::SoaTile tile(region.width, region.height);
+  EXPECT_TRUE(execute_plan(*plan, history, tile, nullptr));
+  Grid2D<CFloat> image(region.width, region.height);
+  tile.accumulate_into(image, Region{0, 0, region.width, region.height});
+  return image;
+}
+
 // --- plan build / execute ------------------------------------------------
+
+TEST(FormationPlan, ArenaTablesMatchWorkspaceBytes) {
+  const auto [s, pulses] = make_tiny();
+  const sim::PhaseHistory history = mixed_order_history(*pulses);
+  // 16 x 16 blocks over a 30 x 21 region: edge blocks 14 wide, 5 tall.
+  const Region region{1, 2, 30, 21};
+  const auto plan = build_formation_plan(s.grid, region, 16, 16, history);
+  ASSERT_EQ(plan->tables.size(),
+            plan->blocks.size() * static_cast<std::size_t>(plan->num_pulses()));
+
+  const double two_pi_k = 2.0 * std::numbers::pi * history.wavenumber();
+  asr::TableWorkspace workspace;
+  std::set<geometry::LoopOrder> orders;
+  bool narrow = false;
+  bool short_block = false;
+  for (std::size_t b = 0; b < plan->blocks.size(); ++b) {
+    const asr::BlockSpec& block = plan->blocks[b];
+    narrow = narrow || block.width < 16;
+    short_block = short_block || block.height < 16;
+    const geometry::Vec3 centre = s.grid.position_f(
+        static_cast<double>(block.x0) +
+            0.5 * static_cast<double>(block.width - 1),
+        static_cast<double>(block.y0) +
+            0.5 * static_cast<double>(block.height - 1));
+    for (Index p = 0; p < plan->num_pulses(); ++p) {
+      const geometry::LoopOrder order =
+          plan->pulse_order[static_cast<std::size_t>(p)];
+      orders.insert(order);
+      const bool x_inner = order == geometry::LoopOrder::kXInner;
+      const Index len_l = x_inner ? block.width : block.height;
+      const Index len_m = x_inner ? block.height : block.width;
+      const auto& meta = history.meta(p);
+      const asr::BlockTables& want = workspace.resize(len_l, len_m);
+      asr::build_block_tables_fast(
+          bp::block_range_quadratic(centre, meta.position, s.grid.spacing(),
+                                    order),
+          meta.start_range_m, history.bin_spacing(), two_pi_k, want);
+      const asr::BlockTables& got = plan->tables_for(b, p);
+      ASSERT_EQ(got.width, len_l);
+      ASSERT_EQ(got.height, len_m);
+      const auto same = [](const float* a, const float* w, Index n) {
+        return std::memcmp(a, w, static_cast<std::size_t>(n) *
+                                     sizeof(float)) == 0;
+      };
+      EXPECT_TRUE(same(got.bin_a, want.bin_a, len_l) &&
+                  same(got.phi_re, want.phi_re, len_l) &&
+                  same(got.phi_im, want.phi_im, len_l) &&
+                  same(got.bin_b, want.bin_b, len_m) &&
+                  same(got.bin_c, want.bin_c, len_m) &&
+                  same(got.psi_re, want.psi_re, len_m) &&
+                  same(got.psi_im, want.psi_im, len_m) &&
+                  same(got.gam_re, want.gam_re, len_m) &&
+                  same(got.gam_im, want.gam_im, len_m))
+          << "block " << b << " pulse " << p;
+    }
+  }
+  EXPECT_EQ(orders.size(), 2u);
+  EXPECT_TRUE(narrow);
+  EXPECT_TRUE(short_block);
+}
+
+TEST(FormationPlan, BytesEqualArenaPayload) {
+  const auto [s, pulses] = make_tiny();
+  const sim::PhaseHistory history = mixed_order_history(*pulses);
+  const auto plan =
+      build_formation_plan(s.grid, Region{1, 2, 30, 21}, 16, 16, history);
+  // Block-major, back to back from the arena's start: the payload is the
+  // sum of the carved table sets, and bytes reports exactly that.
+  std::size_t floats = 0;
+  for (const asr::BlockTables& t : plan->tables) {
+    EXPECT_EQ(t.bin_a, plan->arena.get() + floats);
+    floats += asr::table_floats(t.width, t.height);
+  }
+  EXPECT_EQ(plan->bytes, floats * sizeof(float));
+}
+
 
 TEST(FormationPlan, ExecuteMatchesStreamingScalarKernelExactly) {
   const auto [s, pulses] = make_tiny();
@@ -512,6 +623,126 @@ TEST(Service, PlanCacheCapacityZeroDisablesRetention) {
   if (obs::kEnabled) {
     EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 0u);
     EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 2u);
+  }
+}
+
+TEST(Service, MissFillAndHitPublishIdenticalImages) {
+  // A miss fills the plan's tables inside the replay tasks (spread over
+  // four workers); the hit replays the cached, fully filled plan. Both
+  // sweep identical tables block by block, so the images match byte for
+  // byte, and a scalar service's miss matches execute_plan exactly.
+  const auto [s, tiny] = make_tiny();
+  const auto pulses =
+      std::make_shared<const sim::PhaseHistory>(mixed_order_history(*tiny));
+  const Region region{1, 2, 30, 21};
+  const Grid2D<CFloat> anchor = execute_plan_image(s.grid, region, 8, *pulses);
+
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar" : "simd");
+    obs::Registry reg;
+    ServiceConfig sc;
+    sc.workers = 4;
+    sc.plan_cache_capacity = 4;
+    sc.metrics = &reg;
+    if (scalar) sc.backends = {exec::BackendSpec{}};
+    ImageFormationService service(sc);
+
+    Grid2D<CFloat> images[2];
+    for (int i = 0; i < 2; ++i) {
+      auto req = tiny_request(s, pulses);
+      req.region = region;
+      req.asr_block_w = req.asr_block_h = 8;
+      auto outcome = service.submit(std::move(req));
+      ASSERT_TRUE(outcome.admitted());
+      const JobResult& result = outcome.handle->wait();
+      ASSERT_EQ(result.state, JobState::kDone) << result.error;
+      EXPECT_EQ(result.plan_cache_hit, i == 1);
+      images[i] = result.image;
+    }
+    EXPECT_TRUE(same_bytes(images[0], images[1]));
+    if (scalar) {
+      EXPECT_TRUE(same_bytes(images[0], anchor));
+    }
+    EXPECT_EQ(service.plan_cache().size(), 1u);
+  }
+}
+
+TEST(Service, AbortedMissFillLeavesNoCacheEntry) {
+  // A job cancelled, or past its deadline, after its first block was
+  // filled must not publish its half-filled plan: the next request for
+  // the key misses, fills the plan again and forms the correct image.
+  const auto [s, pulses] = make_tiny();
+  const Region all{0, 0, s.grid.width(), s.grid.height()};
+  const Grid2D<CFloat> anchor = execute_plan_image(s.grid, all, 16, *pulses);
+
+  for (const bool cancel : {true, false}) {
+    SCOPED_TRACE(cancel ? "cancel" : "deadline");
+    std::mutex m;
+    std::condition_variable cv;
+    int calls = 0;
+    bool armed = true;
+    bool at_hold = false;
+    bool release = false;
+    const auto deadline = std::chrono::steady_clock::now() + 500ms;
+
+    obs::Registry reg;
+    ServiceConfig sc;
+    sc.workers = 1;  // one task at a time: the checkpoint count is exact
+    sc.plan_cache_capacity = 4;
+    sc.metrics = &reg;
+    sc.backends = {exec::BackendSpec{}};
+    // Checkpoint 1 starts the first task, 2 precedes block 0's fill and
+    // sweep, 3 precedes block 1's: hold there, with block 0 filled.
+    sc.inter_block_hook = [&] {
+      std::unique_lock lock(m);
+      if (!armed || ++calls != 3) return;
+      if (cancel) {
+        at_hold = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      } else {
+        lock.unlock();
+        std::this_thread::sleep_until(deadline + 10ms);
+      }
+    };
+    ImageFormationService service(sc);
+
+    auto req = tiny_request(s, pulses);
+    if (!cancel) req.deadline = deadline;
+    auto first = service.submit(std::move(req));
+    ASSERT_TRUE(first.admitted());
+    if (cancel) {
+      {
+        std::unique_lock lock(m);
+        cv.wait(lock, [&] { return at_hold; });
+      }
+      EXPECT_TRUE(first.handle->cancel());
+      {
+        std::lock_guard lock(m);
+        release = true;
+      }
+      cv.notify_all();
+    }
+    const JobResult& aborted = first.handle->wait();
+    EXPECT_EQ(aborted.state, cancel ? JobState::kCancelled : JobState::kExpired);
+    EXPECT_FALSE(aborted.plan_cache_hit);
+    // wait() returned from the job's continuation, which decided against
+    // publishing the plan; the retry must miss.
+    {
+      std::lock_guard lock(m);
+      armed = false;
+    }
+    auto retry = service.submit(tiny_request(s, pulses));
+    ASSERT_TRUE(retry.admitted());
+    const JobResult& result = retry.handle->wait();
+    ASSERT_EQ(result.state, JobState::kDone) << result.error;
+    EXPECT_FALSE(result.plan_cache_hit);
+    EXPECT_TRUE(same_bytes(result.image, anchor));
+    EXPECT_EQ(service.plan_cache().size(), 1u);
+    if (obs::kEnabled) {
+      EXPECT_EQ(reg.counter("service.plan_cache.misses").value(), 2u);
+      EXPECT_EQ(reg.counter("service.plan_cache.hits").value(), 0u);
+    }
   }
 }
 
