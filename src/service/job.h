@@ -30,6 +30,7 @@
 namespace sarbp::exec {
 class TaskGroup;
 using GroupPtr = std::shared_ptr<TaskGroup>;
+class BackendSet;
 }  // namespace sarbp::exec
 
 namespace sarbp::service {
@@ -89,6 +90,9 @@ struct CustomJobContext {
   /// Executor sizing, so factories can fan out like the plan replay does.
   int workers = 1;
   Index tile_tasks = 0;
+  /// The service's backend set, so a factory that replays a plan routes
+  /// its blocks (and feeds the observed rates) exactly as a formation job.
+  std::shared_ptr<exec::BackendSet> backends;
 };
 
 /// Builds the task group of a custom (long-running-type) job when a worker

@@ -30,6 +30,20 @@ inline std::uint64_t double_bits(double v) {
   return bits;
 }
 
+/// exec-layer projection of a plan (see exec/tile_backend.h). Valid while
+/// the plan lives — the task lambdas own a shared_ptr to it.
+exec::PlanView plan_view(const FormationPlan& plan) {
+  exec::PlanView view;
+  view.blocks = plan.blocks.data();
+  view.num_blocks = static_cast<Index>(plan.blocks.size());
+  view.pulse_order = plan.pulse_order.data();
+  view.num_pulses = plan.num_pulses();
+  view.tables = plan.tables.data();
+  view.region_x0 = plan.key.region.x0;
+  view.region_y0 = plan.key.region.y0;
+  return view;
+}
+
 }  // namespace
 
 std::uint64_t pulse_geometry_signature(const sim::PhaseHistory& history) {
@@ -162,52 +176,27 @@ std::shared_ptr<const FormationPlan> build_formation_plan(
 }
 
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
-                  bp::SoaTile& tile, const std::function<bool()>& checkpoint) {
-  const Index pulses = history.num_pulses();
-  ensure(pulses == plan.num_pulses(),
+                  bp::SoaTile& tile, const std::function<bool()>& checkpoint,
+                  exec::TileBackend* backend) {
+  ensure(history.num_pulses() == plan.num_pulses(),
          "execute_plan: history pulse count does not match the plan");
   ensure(tile.width() == plan.key.region.width &&
              tile.height() == plan.key.region.height,
          "execute_plan: tile/region shape mismatch");
-  const Index samples = history.samples_per_pulse();
-
+  if (backend == nullptr) {
+    static const std::shared_ptr<exec::TileBackend> scalar =
+        exec::make_backend(exec::BackendSpec{}, 0.5, nullptr);
+    backend = scalar.get();
+  }
   // Block-outer / pulse-inner, the cache-blocking order of the scalar
   // kernel: one block's output rows stay resident while the pulses stream.
-  for (std::size_t b = 0; b < plan.blocks.size(); ++b) {
+  const exec::PlanView view = plan_view(plan);
+  for (Index b = 0; b < view.num_blocks; ++b) {
     if (checkpoint && !checkpoint()) return false;
-    const auto& block = plan.blocks[b];
-    const Index bx = block.x0 - plan.key.region.x0;
-    const Index by = block.y0 - plan.key.region.y0;
-    for (Index p = 0; p < pulses; ++p) {
-      const bool x_inner =
-          plan.pulse_order[static_cast<std::size_t>(p)] ==
-          geometry::LoopOrder::kXInner;
-      const Index len_l = x_inner ? block.width : block.height;
-      const Index len_m = x_inner ? block.height : block.width;
-      bp::asr_sweep_block(plan.tables_for(b, p), history.pulse(p).data(),
-                          samples, x_inner, bx, by, len_l, len_m, tile);
-    }
+    backend->sweep_block(view, history, b, 0, view.num_pulses, tile);
   }
   return true;
 }
-
-namespace {
-
-/// exec-layer projection of a plan (see exec/tile_backend.h). Valid while
-/// the plan lives — the task lambdas own a shared_ptr to it.
-exec::PlanView plan_view(const FormationPlan& plan) {
-  exec::PlanView view;
-  view.blocks = plan.blocks.data();
-  view.num_blocks = static_cast<Index>(plan.blocks.size());
-  view.pulse_order = plan.pulse_order.data();
-  view.num_pulses = plan.num_pulses();
-  view.tables = plan.tables.data();
-  view.region_x0 = plan.key.region.x0;
-  view.region_y0 = plan.key.region.y0;
-  return view;
-}
-
-}  // namespace
 
 exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
@@ -216,7 +205,8 @@ exec::GroupPtr make_plan_replay_group(
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin, Index pulse_end,
-    std::shared_ptr<exec::BackendSet> backends, bool fill) {
+    std::shared_ptr<exec::BackendSet> backends, bool fill,
+    ReplayOutput second) {
   ensure(plan != nullptr && history != nullptr && tile != nullptr,
          "make_plan_replay_group: null plan/history/tile");
   ensure(history->num_pulses() == plan->num_pulses(),
@@ -229,6 +219,14 @@ exec::GroupPtr make_plan_replay_group(
   ensure(pulse_begin >= 0 && pulse_begin <= pulse_end &&
              pulse_end <= plan->num_pulses(),
          "make_plan_replay_group: bad pulse range");
+  if (second.tile != nullptr) {
+    ensure(second.tile->width() == tile->width() &&
+               second.tile->height() == tile->height(),
+           "make_plan_replay_group: second tile/region shape mismatch");
+    ensure(second.pulse_begin >= 0 && second.pulse_begin <= second.pulse_end &&
+               second.pulse_end <= plan->num_pulses(),
+           "make_plan_replay_group: bad second pulse range");
+  }
   if (backends == nullptr) {
     // One host scalar backend: execute_plan's sweep, spread over tasks.
     backends = std::make_shared<exec::BackendSet>(
@@ -252,7 +250,10 @@ exec::GroupPtr make_plan_replay_group(
   // (not its table fills) and feeds the backend's observed-rate tracker,
   // which steers the *next* job's partition.
   const std::vector<Index> bounds = backends->partition(nblocks);
-  const Index pulses = pulse_end - pulse_begin;
+  const Index pulses = pulse_end - pulse_begin +
+                       (second.tile != nullptr
+                            ? second.pulse_end - second.pulse_begin
+                            : 0);
   for (int k = 0; k < backends->size(); ++k) {
     const Index k0 = bounds[static_cast<std::size_t>(k)];
     const Index k1 = bounds[static_cast<std::size_t>(k) + 1];
@@ -268,8 +269,8 @@ exec::GroupPtr make_plan_replay_group(
       const Index b1 = k0 + bp::split_begin(kblocks, ktasks, ti + 1);
       exec::TileBackend* backend = &backends->backend(k);
       tasks.push_back([plan, history, tile, checkpoint, backends, backend,
-                       b0, b1, pulse_begin, pulse_end, pulses,
-                       fill](int, exec::TaskGroup& group) {
+                       b0, b1, pulse_begin, pulse_end, pulses, fill,
+                       second](int, exec::TaskGroup& group) {
         const exec::PlanView view = plan_view(*plan);
         Timer timer;
         double fill_seconds = 0.0;
@@ -291,6 +292,10 @@ exec::GroupPtr make_plan_replay_group(
           const auto& block = plan->blocks[static_cast<std::size_t>(b)];
           backend->sweep_block(view, *history, b, pulse_begin, pulse_end,
                                *tile);
+          if (second.tile != nullptr) {
+            backend->sweep_block(view, *history, b, second.pulse_begin,
+                                 second.pulse_end, *second.tile);
+          }
           backprojections += static_cast<double>(block.width) *
                              static_cast<double>(block.height) *
                              static_cast<double>(pulses);

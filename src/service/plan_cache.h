@@ -8,9 +8,10 @@
 // per-pulse loop order (wavefront orientation), and the per-(block, pulse)
 // strength-reduction tables of paper Fig. 3(b) line 02. Building those
 // tables is the per-request setup cost; replaying a cached plan skips it
-// entirely. execute_plan drives the same inner sweep as the scalar kernel
-// (kernel_asr_block.h), so its image is bit-identical to the streaming
-// path; the service's default host SIMD replay agrees with it at > 70 dB.
+// entirely. execute_plan sweeps every block through one TileBackend on the
+// calling thread (the scalar one by default), so its image is byte-identical
+// to a service job on the same backend; the service's default host SIMD
+// replay agrees with the scalar one at > 70 dB.
 //
 // A plan keeps all its tables in one arena, sized in one allocation by the
 // skeleton step (build_plan_skeleton) and written block by block by the
@@ -125,13 +126,24 @@ void fill_plan_block(const FormationPlan& plan,
     Index block_h, const sim::PhaseHistory& history);
 
 /// Replays a plan over `history`, accumulating into `tile` (shaped like the
-/// plan's region), on the calling thread with the scalar sweep — the anchor
+/// plan's region), on the calling thread: `backend`->sweep_block over every
+/// block in order. A null backend is the host scalar sweep — the anchor
 /// every scalar backend set is byte-identical to. `checkpoint` runs before
 /// every block sweep; returning false aborts the replay (cooperative
 /// cancellation / deadline expiry) and the partially-formed tile must be
 /// discarded. Returns true on completion.
 bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
-                  bp::SoaTile& tile, const std::function<bool()>& checkpoint);
+                  bp::SoaTile& tile, const std::function<bool()>& checkpoint,
+                  exec::TileBackend* backend = nullptr);
+
+/// A second output of one plan replay: right after a block's primary sweep,
+/// the same task sweeps pulses [pulse_begin, pulse_end) of that block into
+/// `tile` from the same tables. A null tile means no second output.
+struct ReplayOutput {
+  std::shared_ptr<bp::SoaTile> tile;
+  Index pulse_begin = 0;
+  Index pulse_end = 0;
+};
 
 /// Decomposes one plan replay into a TaskGroup for the tile executor: the
 /// plan's blocks are split into contiguous block-range tasks that all
@@ -168,6 +180,11 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
 /// before it sweeps that block, and the fill time is kept out of the
 /// backend's observed rate. The plan is complete once the group finishes
 /// unaborted — the caller's `on_complete` is where it may be published.
+///
+/// `second` adds a second (tile, pulse range) output swept from the same
+/// block tables (a streaming re-anchor's window tile plus its new chunk's
+/// partial). A pulse range of a plan sweeps exactly as a plan over just
+/// those pulses, so the second tile is byte-identical to that replay.
 [[nodiscard]] exec::GroupPtr make_plan_replay_group(
     std::shared_ptr<const FormationPlan> plan,
     std::shared_ptr<const sim::PhaseHistory> history, int parallelism,
@@ -175,7 +192,8 @@ bool execute_plan(const FormationPlan& plan, const sim::PhaseHistory& history,
     std::function<bool()> checkpoint,
     std::function<void(exec::TaskGroup&)> on_complete,
     Index pulse_begin = 0, Index pulse_end = -1,
-    std::shared_ptr<exec::BackendSet> backends = nullptr, bool fill = false);
+    std::shared_ptr<exec::BackendSet> backends = nullptr, bool fill = false,
+    ReplayOutput second = {});
 
 /// Thread-safe LRU cache of formation plans.
 ///

@@ -256,6 +256,7 @@ exec::GroupPtr ImageFormationService::build_job_group(const JobPtr& job) {
     cctx.checkpoint = make_checkpoint(ctx);
     cctx.workers = config_.workers;
     cctx.tile_tasks = config_.tile_tasks;
+    cctx.backends = backend_set_;
     cctx.finish = [this, ctx, job, queued_for](
                       JobState proposed,
                       const std::string& message) -> JobState {

@@ -1,80 +1,38 @@
 #include "streaming/streaming.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <numbers>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "asr/quadratic.h"
-#include "asr/tables.h"
-#include "backprojection/kernel.h"
-#include "backprojection/kernel_asr_block.h"
-#include "backprojection/partition.h"
 #include "backprojection/soa_tile.h"
 #include "common/check.h"
 #include "exec/task_group.h"
-#include "geometry/wavefront.h"
+#include "service/plan_cache.h"
 
 namespace sarbp::streaming {
 namespace {
 
-/// Per-task scratch: the on-the-fly table workspace plus the SIMD y_inner
-/// workspace, reused across every (block, pulse) pair the task sweeps.
-struct SweepScratch {
-  asr::TableWorkspace tables;
-  AlignedVector<float> ws_re;
-  AlignedVector<float> ws_im;
-};
-
-/// Sweeps every pulse of `chunks` (in order) over one block into `tile`
-/// through the fused SIMD sweep (auto ISA; the scalar sweep when no vector
-/// ISA is usable), building each (block, pulse) table on the fly with
-/// exactly the inputs build_formation_plan would use. A whole-window sweep
-/// here is bit-identical to reform_window over the concatenated history,
-/// and matches the service's SIMD plan replay at > 70 dB: that replay
-/// flushes its y_inner workspace once per pulse run, this sweep once per
-/// pulse, so the float sums round differently. Returns the (pixel, pulse)
-/// operation count.
-std::uint64_t sweep_block(const geometry::ImageGrid& grid,
-                          const Region& region, const asr::BlockSpec& block,
-                          std::span<const sim::PhaseHistory* const> chunks,
-                          SweepScratch& scratch, bp::SoaTile& tile) {
-  const geometry::Vec3 centre = grid.position_f(
-      static_cast<double>(block.x0) +
-          0.5 * static_cast<double>(block.width - 1),
-      static_cast<double>(block.y0) +
-          0.5 * static_cast<double>(block.height - 1));
-  const Index bx = block.x0 - region.x0;
-  const Index by = block.y0 - region.y0;
-  std::uint64_t ops = 0;
-  for (const sim::PhaseHistory* chunk : chunks) {
-    const double two_pi_k = 2.0 * std::numbers::pi * chunk->wavenumber();
-    const Index samples = chunk->samples_per_pulse();
-    for (Index p = 0; p < chunk->num_pulses(); ++p) {
-      const auto& meta = chunk->meta(p);
-      const geometry::LoopOrder order =
-          geometry::choose_loop_order(meta.position, grid.centre());
-      const bool x_inner = order == geometry::LoopOrder::kXInner;
-      const Index len_l = x_inner ? block.width : block.height;
-      const Index len_m = x_inner ? block.height : block.width;
-      const asr::Quadratic2D q = bp::block_range_quadratic(
-          centre, meta.position, grid.spacing(), order);
-      const asr::BlockTables& tables = scratch.tables.resize(len_l, len_m);
-      asr::build_block_tables_fast(q, meta.start_range_m,
-                                   chunk->bin_spacing(), two_pi_k, tables);
-      bp::asr_plan_sweep_simd(tables, chunk->pulse(p).data(),
-                              samples, x_inner, bx, by, len_l, len_m, tile,
-                              bp::SimdIsa::kAuto, bp::KernelVariant::kAuto,
-                              scratch.ws_re, scratch.ws_im);
+/// The chunks as one history, oldest first: the pulse order of
+/// window_history() and of a re-anchor's plan.
+sim::PhaseHistory concatenate(
+    std::span<const std::shared_ptr<const sim::PhaseHistory>> chunks) {
+  Index total = 0;
+  for (const auto& c : chunks) total += c->num_pulses();
+  if (total == 0) return {};
+  const sim::PhaseHistory& first = *chunks.front();
+  sim::PhaseHistory out(total, first.samples_per_pulse(), first.bin_spacing(),
+                        first.wavenumber());
+  Index p = 0;
+  for (const auto& c : chunks) {
+    for (Index i = 0; i < c->num_pulses(); ++i, ++p) {
+      const auto src = c->pulse(i);
+      std::copy(src.begin(), src.end(), out.pulse(p).begin());
+      out.meta(p) = c->meta(i);
     }
-    ops += static_cast<std::uint64_t>(block.width) *
-           static_cast<std::uint64_t>(block.height) *
-           static_cast<std::uint64_t>(chunk->num_pulses());
   }
-  return ops;
+  return out;
 }
 
 Region effective_region(const StreamConfig& config) {
@@ -91,9 +49,6 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       : service_(service),
         config_(std::move(config)),
         region_(effective_region(config_)),
-        blocks_(asr::plan_blocks(region_.x0, region_.y0, region_.width,
-                                 region_.height, config_.asr_block_w,
-                                 config_.asr_block_h)),
         live_(region_.width, region_.height) {
     if constexpr (obs::kEnabled) {
       auto& reg = service_.metrics();
@@ -168,7 +123,7 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       pending_.clear();
       stats_.updates_cancelled += dropped;
       if (cancelled_ && dropped > 0) cancelled_->add(dropped);
-      if (inflight_update_ != nullptr) job = inflight_update_->job;
+      if (inflight_update_ != nullptr) job = inflight_update_->job.lock();
       cv_.notify_all();
     }
     // Outside the session lock: cancel() takes the handle's mutex, and the
@@ -210,20 +165,12 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
   }
 
   sim::PhaseHistory window_history() const SARBP_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    Index total = 0;
-    for (const Applied& a : window_) total += a.history->num_pulses();
-    if (total == 0 || !have_params_) return {};
-    sim::PhaseHistory out(total, samples_, bin_spacing_, wavenumber_);
-    Index p = 0;
-    for (const Applied& a : window_) {
-      for (Index i = 0; i < a.history->num_pulses(); ++i, ++p) {
-        const auto src = a.history->pulse(i);
-        std::copy(src.begin(), src.end(), out.pulse(p).begin());
-        out.meta(p) = a.history->meta(i);
-      }
+    std::vector<std::shared_ptr<const sim::PhaseHistory>> chunks;
+    {
+      MutexLock lock(mutex_);
+      for (const Applied& a : window_) chunks.push_back(a.history);
     }
-    return out;
+    return concatenate(chunks);
   }
 
  private:
@@ -241,22 +188,22 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     SubApertureCache::Partial partial;
   };
 
-  /// State of one in-flight update, shared between the sweep tasks and
-  /// the completion continuation.
+  /// State of one in-flight update, shared between the replay group and
+  /// its completion continuation.
   struct Update {
     Chunk chunk;
     bool anchor = false;
     bool cache_hit = false;
-    bool have_key = false;
     service::PlanKey key;
-    /// Anchor mode: the window chunks that survive the slide, oldest
-    /// first (the new chunk is appended after them in the sweep).
-    std::vector<std::shared_ptr<const sim::PhaseHistory>> survivors;
     SubApertureCache::Partial cached;     ///< cache-hit partial
     std::shared_ptr<bp::SoaTile> partial; ///< freshly swept chunk partial
     std::shared_ptr<bp::SoaTile> fresh;   ///< anchor: whole-window sweep
-    std::shared_ptr<service::JobHandle> job;
-    std::atomic<std::uint64_t> ops{0};
+    /// (pixel, pulse) sweeps of the update's replay group.
+    std::uint64_t backprojections = 0;
+    /// Weak: the job's request owns the callbacks that own this update, so
+    /// a strong handle here would keep the session alive forever. Only
+    /// cancel() reads it.
+    std::weak_ptr<service::JobHandle> job;
   };
 
   /// Submits pending chunks until one is in flight or the queue is empty.
@@ -316,10 +263,16 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
     pump_locked();
   }
 
-  /// The custom-job factory: runs on the claiming worker at dequeue.
+  /// The custom-job factory: runs on the claiming worker at dequeue. The
+  /// update is one plan replay on the service's backends that fills its
+  /// own tables: over the chunk (incremental), or over the window with the
+  /// chunk's pulse range swept a second time into the chunk partial
+  /// (re-anchor). Every update needs the chunk's partial for the eventual
+  /// expiry subtraction; a cache hit supplies it instead.
   exec::GroupPtr build_update_group(const std::shared_ptr<Update>& u,
                                     const service::CustomJobContext& cctx)
       SARBP_EXCLUDES(mutex_) {
+    std::vector<std::shared_ptr<const sim::PhaseHistory>> window;
     {
       // Decide the mode and snapshot the window. Only a committing update
       // mutates the window and exactly one update is in flight, so the
@@ -333,9 +286,8 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
             new_size > static_cast<std::size_t>(config_.window_chunks)
                 ? new_size - static_cast<std::size_t>(config_.window_chunks)
                 : 0;
-        u->survivors.reserve(window_.size() - expire);
         for (std::size_t i = expire; i < window_.size(); ++i) {
-          u->survivors.push_back(window_[i].history);
+          window.push_back(window_[i].history);
         }
       }
     }
@@ -343,84 +295,55 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
       u->key = config_.cache->make_key(config_.grid, region_,
                                        config_.asr_block_w,
                                        config_.asr_block_h, *u->chunk.history);
-      u->have_key = true;
       u->cached = config_.cache->find(u->key, *u->chunk.history);
       u->cache_hit = u->cached != nullptr;
     }
-    // Every update needs the chunk's partial for the eventual expiry
-    // subtraction; a cache hit supplies it, anything else sweeps it. An
-    // anchor additionally re-sweeps the whole window into a fresh tile.
-    if (!u->cache_hit) {
-      u->partial = std::make_shared<bp::SoaTile>(region_.width, region_.height);
-    }
-    if (u->anchor) {
-      u->fresh = std::make_shared<bp::SoaTile>(region_.width, region_.height);
-    }
 
     auto self = shared_from_this();
-    std::vector<exec::TaskGroup::Task> tasks;
-    if (!u->anchor && u->cache_hit) {
-      // Nothing to sweep: one trivial task keeps the group machinery (and
-      // its checkpoint/abort/completion semantics) uniform.
-      tasks.emplace_back([](int, exec::TaskGroup&) {});
-    } else {
-      const Index nblocks = static_cast<Index>(blocks_.size());
-      // Mirror make_plan_replay_group's fan-out: ~2 tasks per worker,
-      // never finer than one block per task.
-      Index fanout =
-          cctx.tile_tasks > 0
-              ? cctx.tile_tasks
-              : std::max<Index>(2, 2 * static_cast<Index>(cctx.workers));
-      fanout = std::clamp<Index>(fanout, 1, nblocks);
-      for (Index ti = 0; ti < fanout; ++ti) {
-        const Index b0 = bp::split_begin(nblocks, fanout, ti);
-        const Index b1 = bp::split_begin(nblocks, fanout, ti + 1);
-        auto checkpoint = cctx.checkpoint;
-        tasks.emplace_back(
-            [self, u, checkpoint, b0, b1](int, exec::TaskGroup& group) {
-              self->sweep_task(*u, b0, b1, checkpoint, group);
-            });
-      }
-    }
     auto on_complete = [self, u, cctx](exec::TaskGroup& group) {
       self->complete_update(u, cctx, group);
     };
-    return std::make_shared<exec::TaskGroup>(std::move(tasks), cctx.checkpoint,
-                                             std::move(on_complete),
-                                             "stream_update");
-  }
+    if (!u->anchor && u->cache_hit) {
+      // Nothing to sweep: one trivial task keeps the group machinery (and
+      // its checkpoint/abort/completion semantics) uniform.
+      std::vector<exec::TaskGroup::Task> noop;
+      noop.emplace_back([](int, exec::TaskGroup&) {});
+      return std::make_shared<exec::TaskGroup>(
+          std::move(noop), cctx.checkpoint, std::move(on_complete),
+          "stream_update");
+    }
 
-  void sweep_task(Update& u, Index b0, Index b1,
-                  const std::function<bool()>& checkpoint,
-                  exec::TaskGroup& group) {
-    SweepScratch scratch;
-    std::uint64_t ops = 0;
-    std::vector<const sim::PhaseHistory*> window_chunks;
-    if (u.anchor) {
-      window_chunks.reserve(u.survivors.size() + 1);
-      for (const auto& h : u.survivors) window_chunks.push_back(h.get());
-      window_chunks.push_back(u.chunk.history.get());
+    const auto pixels = static_cast<std::uint64_t>(region_.width) *
+                        static_cast<std::uint64_t>(region_.height);
+    const Index chunk_pulses = u->chunk.history->num_pulses();
+    if (!u->cache_hit) {
+      u->partial = std::make_shared<bp::SoaTile>(region_.width, region_.height);
     }
-    const sim::PhaseHistory* new_chunk[] = {u.chunk.history.get()};
-    for (Index b = b0; b < b1; ++b) {
-      // execute_plan's granularity: one cancellation poll per block sweep.
-      if (checkpoint && !checkpoint()) {
-        group.abort();
-        break;
-      }
-      const asr::BlockSpec& block = blocks_[static_cast<std::size_t>(b)];
-      if (u.anchor) {
-        ops += sweep_block(config_.grid, region_, block, window_chunks,
-                           scratch, *u.fresh);
-      }
-      if (u.partial != nullptr) {
-        ops += sweep_block(config_.grid, region_, block, new_chunk, scratch,
-                           *u.partial);
+    std::shared_ptr<const sim::PhaseHistory> pulses = u->chunk.history;
+    std::shared_ptr<bp::SoaTile> tile = u->partial;
+    service::ReplayOutput chunk_output;
+    if (u->anchor) {
+      window.push_back(u->chunk.history);
+      pulses = std::make_shared<const sim::PhaseHistory>(concatenate(window));
+      u->fresh = std::make_shared<bp::SoaTile>(region_.width, region_.height);
+      tile = u->fresh;
+      const Index n = pulses->num_pulses();
+      if (u->partial != nullptr) {
+        chunk_output = {u->partial, n - chunk_pulses, n};
       }
     }
-    // order: relaxed — statistics accumulator; the group's completion
-    // machinery orders it before on_complete reads it.
-    u.ops.fetch_add(ops, std::memory_order_relaxed);
+    u->backprojections =
+        pixels * static_cast<std::uint64_t>(
+                     pulses->num_pulses() +
+                     (chunk_output.tile != nullptr ? chunk_pulses : 0));
+    auto plan = service::build_plan_skeleton(
+        config_.grid, region_, config_.asr_block_w, config_.asr_block_h,
+        *pulses);
+    return service::make_plan_replay_group(
+        std::move(plan), std::move(pulses), cctx.workers, cctx.tile_tasks,
+        std::move(tile), cctx.checkpoint, std::move(on_complete),
+        /*pulse_begin=*/0, /*pulse_end=*/-1, cctx.backends, /*fill=*/true,
+        std::move(chunk_output));
   }
 
   /// Runs on the worker that retires the update's last task.
@@ -428,9 +351,8 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
                        const service::CustomJobContext& cctx,
                        exec::TaskGroup& group) SARBP_EXCLUDES(mutex_) {
     const bool ok = !group.aborted();
-    if (ok && config_.cache != nullptr && u->have_key && !u->cache_hit &&
-        u->partial != nullptr) {
-      config_.cache->insert(u->key, *u->chunk.history, u->partial);
+    if (ok && config_.cache != nullptr && !u->cache_hit) {
+      config_.cache->insert(u->key, u->chunk.history, u->partial);
     }
     // Resolve the handle first, with no locks held (lock order: session ->
     // handle). The service substitutes the checkpoint's verdict — the
@@ -445,12 +367,11 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
                                     : group.error()));
     {
       MutexLock lock(mutex_);
-      // order: relaxed — every sweep task finished before the completion
-      // continuation runs (group barrier); this is the only reader.
-      const std::uint64_t ops = u->ops.load(std::memory_order_relaxed);
-      stats_.backprojections += ops;
-      if (ops_counter_ && ops > 0) ops_counter_->add(ops);
       if (ok) {
+        stats_.backprojections += u->backprojections;
+        if (ops_counter_ && u->backprojections > 0) {
+          ops_counter_->add(u->backprojections);
+        }
         // Commit: slide the window, update the live image, publish. This
         // is the only place image state mutates, so an aborted update
         // leaves the live image exactly consistent with the applied
@@ -547,7 +468,6 @@ class StreamSession::Impl : public std::enable_shared_from_this<Impl> {
   service::ImageFormationService& service_;
   const StreamConfig config_;
   const Region region_;
-  const std::vector<asr::BlockSpec> blocks_;
 
   mutable Mutex mutex_{SARBP_LOCK_LEVEL("streaming.session")};
   CondVar cv_;
@@ -653,14 +573,16 @@ Grid2D<CFloat> reform_window(const StreamConfig& config,
          "reform_window: bad geometry");
   bp::SoaTile tile(region.width, region.height);
   if (window.num_pulses() > 0) {
-    const auto blocks =
-        asr::plan_blocks(region.x0, region.y0, region.width, region.height,
-                         config.asr_block_w, config.asr_block_h);
-    SweepScratch scratch;
-    const sim::PhaseHistory* chunks[] = {&window};
-    for (const asr::BlockSpec& block : blocks) {
-      sweep_block(config.grid, region, block, chunks, scratch, tile);
-    }
+    // The service's default backend: host SIMD, auto ISA and variant.
+    static const std::shared_ptr<exec::TileBackend> simd = [] {
+      exec::BackendSpec spec;
+      spec.kind = exec::BackendSpec::Kind::kHostSimd;
+      return exec::make_backend(spec, 0.5, nullptr);
+    }();
+    const auto plan =
+        service::build_formation_plan(config.grid, region, config.asr_block_w,
+                                      config.asr_block_h, window);
+    service::execute_plan(*plan, window, tile, nullptr, simd.get());
   }
   Grid2D<CFloat> image(region.width, region.height);
   tile.accumulate_into(image, Region{0, 0, region.width, region.height});

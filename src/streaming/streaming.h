@@ -10,15 +10,24 @@
 // through its pull-model source hook). Exactly one update per session is
 // in flight; completed updates publish an immutable Snapshot.
 //
+// An update forms on the service's own engine: it is one plan-replay
+// group (service/plan_cache.h) that fills a plan skeleton block by block
+// and sweeps it through the service's BackendSet, so it takes the same
+// backends, the same §5.3 split and the same backend metrics as a
+// formation job.
+//
 // Update modes (backprojection is linear, paper §2):
-//  - incremental: sweep only the new chunk into a partial tile (or fetch
-//    it from the SubApertureCache), then live += partial and
-//    live -= each expired chunk's retained partial. O(delta).
+//  - incremental: replay a plan over the new chunk into a partial tile (or
+//    fetch it from the SubApertureCache), then live += partial and
+//    live -= each expired chunk's retained partial. O(delta). The partial
+//    is byte-identical to a service job over the chunk.
 //  - re-anchor: after `reanchor_interval` consecutive incremental updates
-//    the whole window is re-swept from scratch, block-outer/pulse-inner —
-//    the same arithmetic in the same order as a one-shot reform, so the
-//    published image is *bit-identical* to reform_window() over the
-//    session's window_history(). O(window).
+//    the whole window (surviving chunks, then the new one) is replayed
+//    from one plan into a fresh tile, and each block's tables are swept a
+//    second time over the new chunk's pulses into its partial. The
+//    published image is *byte-identical* to a service job over the
+//    session's window_history() on the same backends (and so to
+//    reform_window() on the default host SIMD backend). O(window).
 //
 // Drift contract: float accumulation is not associative, so an
 // incremental add/subtract sequence does not reproduce a from-scratch
@@ -91,8 +100,9 @@ struct StreamStats {
   /// Admission rejections; the chunk is dropped (stream backpressure).
   std::uint64_t updates_rejected = 0;
   std::uint64_t reanchors = 0;
-  /// (pixel, pulse) sweep operations performed — the O(delta) vs O(full)
-  /// observable the acceptance test asserts on.
+  /// (pixel, pulse) sweep operations of completed updates — the O(delta)
+  /// vs O(full) observable the acceptance test asserts on. A failed,
+  /// cancelled or expired update counts nothing, however far it got.
   std::uint64_t backprojections = 0;
   /// Chunk partials this session took from the sub-aperture cache.
   std::uint64_t cache_hits = 0;
@@ -158,12 +168,13 @@ class StreamSession {
 [[nodiscard]] StreamSession open_stream(service::ImageFormationService& service,
                                         StreamConfig config);
 
-/// Reference semantics of the streaming contract: a serial block-outer /
-/// pulse-inner reform of `window` under `config`'s geometry and kernel
-/// selection — the same arithmetic order a re-anchor performs. Immediately
-/// after a re-anchor, latest()->image equals this bit-for-bit over
-/// window_history(); between re-anchors it matches within the documented
-/// drift bound (DESIGN.md §13).
+/// Reference semantics of the streaming contract: build_formation_plan over
+/// `window` under `config`'s geometry, then a host SIMD backend sweep of
+/// every block on the calling thread — a service job on the service's
+/// default backend. On that backend, latest()->image right after a
+/// re-anchor equals this bit for bit over window_history(); on others it
+/// matches at > 70 dB, and between re-anchors within the documented drift
+/// bound (DESIGN.md §13).
 [[nodiscard]] Grid2D<CFloat> reform_window(const StreamConfig& config,
                                            const sim::PhaseHistory& window);
 

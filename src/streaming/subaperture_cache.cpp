@@ -8,20 +8,26 @@
 namespace sarbp::streaming {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xFFu;
-    h *= kFnvPrime;
+/// True when a partial swept from `a` is the partial of `b`: the same
+/// sampling constants, pulse geometry and sample bytes.
+bool same_chunk(const sim::PhaseHistory& a, const sim::PhaseHistory& b) {
+  if (a.num_pulses() != b.num_pulses() ||
+      a.samples_per_pulse() != b.samples_per_pulse() ||
+      a.bin_spacing() != b.bin_spacing() || a.wavenumber() != b.wavenumber()) {
+    return false;
   }
-}
-
-inline std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
+  for (Index p = 0; p < a.num_pulses(); ++p) {
+    const auto& ma = a.meta(p);
+    const auto& mb = b.meta(p);
+    if (ma.position.x != mb.position.x || ma.position.y != mb.position.y ||
+        ma.position.z != mb.position.z ||
+        ma.start_range_m != mb.start_range_m) {
+      return false;
+    }
+  }
+  return a.payload_bytes() == 0 ||
+         std::memcmp(a.pulse(0).data(), b.pulse(0).data(),
+                     a.payload_bytes()) == 0;
 }
 
 std::size_t tile_bytes(const bp::SoaTile& tile) {
@@ -46,26 +52,6 @@ SubApertureCache::SubApertureCache(SubApertureCacheConfig config)
   }
 }
 
-std::uint64_t SubApertureCache::fingerprint(const sim::PhaseHistory& chunk) {
-  // Deliberately *not* the key's signature function: the fields are mixed
-  // in a different order from a different seed, so a forced or accidental
-  // signature collision still trips the mismatch check below.
-  std::uint64_t h = kFnvOffset ^ 0x5AB5AB5AB5AB5AB5ULL;
-  fnv_mix(h, static_cast<std::uint64_t>(chunk.samples_per_pulse()));
-  fnv_mix(h, static_cast<std::uint64_t>(chunk.num_pulses()));
-  const auto& first = chunk.meta(0);
-  const auto& last = chunk.meta(chunk.num_pulses() - 1);
-  fnv_mix(h, double_bits(first.position.x));
-  fnv_mix(h, double_bits(first.position.y));
-  fnv_mix(h, double_bits(first.position.z));
-  fnv_mix(h, double_bits(first.start_range_m));
-  fnv_mix(h, double_bits(last.position.x));
-  fnv_mix(h, double_bits(last.position.y));
-  fnv_mix(h, double_bits(last.position.z));
-  fnv_mix(h, double_bits(last.start_range_m));
-  return h;
-}
-
 service::PlanKey SubApertureCache::make_key(
     const geometry::ImageGrid& grid, const Region& region, Index block_w,
     Index block_h, const sim::PhaseHistory& chunk) const {
@@ -84,7 +70,7 @@ SubApertureCache::Partial SubApertureCache::find(
     if (misses_) misses_->add();
     return nullptr;
   }
-  if (it->second->fingerprint != fingerprint(chunk)) {
+  if (!same_chunk(*it->second->chunk, chunk)) {
     if (collisions_) collisions_->add();
     if (misses_) misses_->add();
     return nullptr;
@@ -95,16 +81,17 @@ SubApertureCache::Partial SubApertureCache::find(
 }
 
 void SubApertureCache::insert(const service::PlanKey& key,
-                              const sim::PhaseHistory& chunk,
+                              std::shared_ptr<const sim::PhaseHistory> chunk,
                               Partial partial) {
-  ensure(partial != nullptr, "SubApertureCache::insert: null partial");
+  ensure(chunk != nullptr && partial != nullptr,
+         "SubApertureCache::insert: null chunk or partial");
   if (config_.capacity == 0) return;
   MutexLock lock(mutex_);
   if (index_.find(key) != index_.end()) return;  // first insert wins
   Entry entry;
   entry.key = key;
-  entry.fingerprint = fingerprint(chunk);
-  entry.bytes = tile_bytes(*partial);
+  entry.bytes = tile_bytes(*partial) + chunk->payload_bytes();
+  entry.chunk = std::move(chunk);
   entry.partial = std::move(partial);
   bytes_ += entry.bytes;
   lru_.push_front(std::move(entry));

@@ -8,14 +8,14 @@
 // slide that re-admits a chunk another session already swept pays O(1),
 // not O(chunk). Keys reuse service::PlanKey — the grid geometry (including
 // the scene centre), region, ASR block size, and the FNV-1a pulse-geometry
-// signature — so two sessions only share partials when their sweeps would
-// be bit-identical.
+// signature.
 //
-// Signature collisions: the 64-bit signature is a hash, so two distinct
-// chunks can collide. Every entry therefore carries an independent
-// verification fingerprint (pulse count + first/last pulse geometry bits);
-// a lookup whose key matches but whose fingerprint does not is counted as
-// a collision and served as a miss — never a wrong image.
+// A key says nothing about sample values, and its signature is a hash, so
+// every entry keeps the chunk it was swept from: a key hit is served only
+// when the looked-up chunk equals that one exactly (sampling constants,
+// every pulse's position and start range, every sample's bytes). Any other
+// key hit is counted as a collision and served as a miss — never a wrong
+// image.
 #pragma once
 
 #include <cstdint>
@@ -68,18 +68,20 @@ class SubApertureCache {
                                           Index block_h,
                                           const sim::PhaseHistory& chunk) const;
 
-  /// Lookup. Null on miss; a key hit whose verification fingerprint does
-  /// not match `chunk` is a signature collision — counted, and reported as
-  /// a miss.
+  /// Lookup. Null on miss; a key hit whose cached chunk differs from
+  /// `chunk` (geometry or samples) is a collision — counted, and reported
+  /// as a miss.
   [[nodiscard]] Partial find(const service::PlanKey& key,
                              const sim::PhaseHistory& chunk);
 
-  /// Publishes a chunk's swept partial. First insert wins when concurrent
+  /// Publishes the partial swept from `chunk`, which the entry keeps for
+  /// the exact comparison on lookup. First insert wins when concurrent
   /// sessions race to compute the same chunk; eviction is LRU.
-  void insert(const service::PlanKey& key, const sim::PhaseHistory& chunk,
-              Partial partial);
+  void insert(const service::PlanKey& key,
+              std::shared_ptr<const sim::PhaseHistory> chunk, Partial partial);
 
   [[nodiscard]] std::size_t size() const;
+  /// Retained bytes: each entry's partial tile plus its chunk's samples.
   [[nodiscard]] std::size_t bytes() const;
   [[nodiscard]] std::size_t capacity() const { return config_.capacity; }
   void clear();
@@ -87,15 +89,10 @@ class SubApertureCache {
  private:
   struct Entry {
     service::PlanKey key;
-    std::uint64_t fingerprint = 0;
+    std::shared_ptr<const sim::PhaseHistory> chunk;
     Partial partial;
     std::size_t bytes = 0;
   };
-
-  /// Collision check independent of the key's signature hash: pulse count
-  /// plus the raw bit patterns of the first/last pulse geometry.
-  [[nodiscard]] static std::uint64_t fingerprint(
-      const sim::PhaseHistory& chunk);
 
   const SubApertureCacheConfig config_;
 

@@ -1,10 +1,10 @@
-// Streaming sliding-aperture tests: incremental-vs-full parity (bit-exact
-// at re-anchors, > 70 dB drift bound between them and against the
-// service's plan replay on its scalar and SIMD backends, steal on/off),
-// the O(delta) vs O(full) operation-count acceptance bound,
-// re-anchor cadence, sub-aperture cache hit/eviction/collision behaviour,
+// Streaming sliding-aperture tests: parity with the service (chunk partials
+// and re-anchors byte-identical to service jobs on its scalar and SIMD
+// backends, steal on/off; > 70 dB drift bound between re-anchors), the
+// O(delta) vs O(full) operation-count acceptance bound, re-anchor cadence,
+// sub-aperture cache hit/eviction/collision behaviour (samples included),
 // cancel and deadline expiry mid-update, the queued-cancel abandonment
-// path, and the streaming trace round trip + replay.
+// path, session teardown, and the streaming trace round trip + replay.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,12 +13,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <numbers>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "common/snr.h"
+#include "geometry/wavefront.h"
 #include "service/trace.h"
 #include "streaming/streaming.h"
 #include "streaming/subaperture_cache.h"
@@ -63,18 +65,49 @@ void expect_bit_identical(const Grid2D<CFloat>& a, const Grid2D<CFloat>& b) {
 
 // --- incremental vs from-scratch parity ----------------------------------
 
-/// After every update: a re-anchored snapshot must equal reform_window()
-/// bit for bit; an incremental one must track it within the drift bound.
-/// At each anchor the window is also formed as a service job on a host
-/// scalar or host SIMD backend; the SIMD replay flushes its y_inner
-/// workspace per pulse run rather than per pulse, so either replay
-/// matches at the drift bound, not bitwise.
+/// `pulses` formed as a service job on `srv` over `config`'s geometry.
+Grid2D<CFloat> service_image(service::ImageFormationService& srv,
+                             const StreamConfig& config,
+                             const sim::PhaseHistory& pulses) {
+  service::ImageFormationRequest req;
+  req.grid = config.grid;
+  req.region = config.region;
+  req.pulses = std::make_shared<const sim::PhaseHistory>(pulses);
+  req.asr_block_w = config.asr_block_w;
+  req.asr_block_h = config.asr_block_h;
+  auto job = srv.submit(std::move(req));
+  EXPECT_TRUE(job.admitted());
+  if (!job.admitted()) return Grid2D<CFloat>(0, 0);
+  const service::JobResult& result = job.handle->wait();
+  EXPECT_EQ(result.state, service::JobState::kDone) << result.error;
+  return result.image;
+}
+
+/// After every update:
+///  - the chunk's partial (read back from the session's cache) equals a
+///    service job over that chunk byte for byte;
+///  - a re-anchored snapshot equals a service job over window_history()
+///    byte for byte, and on the default SIMD backend reform_window() too
+///    (the scalar backend matches reform_window at > 70 dB);
+///  - an incremental snapshot tracks reform_window() within the drift
+///    bound.
 void run_parity(exec::BackendSpec::Kind backend, bool steal) {
   ScenarioConfig cfg;
   cfg.image = 48;
   cfg.pulses = 48;
   cfg.seed = 11;
+  // The look direction crosses the diagonal near pulse 27, so chunk 4 and
+  // the second anchor's window sweep an x-inner run and then a y-inner run
+  // into one block: the SIMD backend's per-run workspace flush is exercised
+  // on a tile that already holds pulses.
+  cfg.start_angle_rad = 0.75 * std::numbers::pi - 0.00108;
   const SmallScenario s = make_scenario(cfg);
+  const auto order = [&](Index p) {
+    return geometry::choose_loop_order(s.history.meta(p).position,
+                                       s.grid.centre());
+  };
+  ASSERT_EQ(order(24), geometry::LoopOrder::kXInner);
+  ASSERT_EQ(order(29), geometry::LoopOrder::kYInner);
 
   obs::Registry reg;
   service::ServiceConfig sc;
@@ -85,20 +118,27 @@ void run_parity(exec::BackendSpec::Kind backend, bool steal) {
   sc.backends[0].kind = backend;
   service::ImageFormationService srv(sc);
 
+  SubApertureCacheConfig cache_config;
+  cache_config.metrics = &reg;
+  SubApertureCache cache(cache_config);
+
   StreamConfig config;
   config.grid = s.grid;
   config.asr_block_w = config.asr_block_h = 16;
   config.chunk_pulses = 6;
   config.window_chunks = 4;
   config.reanchor_interval = 3;  // anchors land on updates 4 and 8
+  config.cache = &cache;
   StreamSession session = open_stream(srv, config);
 
+  const Region region{0, 0, cfg.image, cfg.image};
   const Index chunks = cfg.pulses / config.chunk_pulses;
   bool saw_anchor = false;
   bool saw_incremental = false;
   for (Index c = 0; c < chunks; ++c) {
-    ASSERT_TRUE(session.push(slice(s.history, c * config.chunk_pulses,
-                                   (c + 1) * config.chunk_pulses)));
+    const sim::PhaseHistory chunk = slice(s.history, c * config.chunk_pulses,
+                                          (c + 1) * config.chunk_pulses);
+    ASSERT_TRUE(session.push(chunk));
     ASSERT_TRUE(session.wait_for_update(static_cast<std::uint64_t>(c) + 1,
                                         kWait));
     ASSERT_TRUE(session.wait_idle(kWait));
@@ -106,23 +146,27 @@ void run_parity(exec::BackendSpec::Kind backend, bool steal) {
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->seq, static_cast<std::uint64_t>(c) + 1);
 
+    const auto partial = cache.find(
+        cache.make_key(config.grid, region, config.asr_block_w,
+                       config.asr_block_h, chunk),
+        chunk);
+    ASSERT_NE(partial, nullptr) << "update " << snap->seq;
+    Grid2D<CFloat> partial_image(cfg.image, cfg.image);
+    partial->accumulate_into(partial_image, region);
+    expect_bit_identical(partial_image, service_image(srv, config, chunk));
+
     const sim::PhaseHistory window = session.window_history();
     EXPECT_EQ(window.num_pulses(), snap->window_pulses);
     const Grid2D<CFloat> reference = reform_window(config, window);
     if (snap->reanchored) {
       saw_anchor = true;
-      expect_bit_identical(snap->image, reference);
-      service::ImageFormationRequest req;
-      req.grid = config.grid;
-      req.pulses = std::make_shared<const sim::PhaseHistory>(window);
-      req.asr_block_w = config.asr_block_w;
-      req.asr_block_h = config.asr_block_h;
-      auto job = srv.submit(std::move(req));
-      ASSERT_TRUE(job.admitted());
-      const service::JobResult& replay = job.handle->wait();
-      ASSERT_EQ(replay.state, service::JobState::kDone) << replay.error;
-      EXPECT_GT(snr_db(replay.image, reference), 70.0)
-          << "service replay diverged at update " << snap->seq;
+      expect_bit_identical(snap->image, service_image(srv, config, window));
+      if (backend == exec::BackendSpec::Kind::kHostSimd) {
+        expect_bit_identical(snap->image, reference);
+      } else {
+        EXPECT_GT(snr_db(snap->image, reference), 70.0)
+            << "scalar anchor diverged at update " << snap->seq;
+      }
     } else {
       saw_incremental = true;
       EXPECT_GT(snr_db(snap->image, reference), 70.0)
@@ -133,6 +177,7 @@ void run_parity(exec::BackendSpec::Kind backend, bool steal) {
   EXPECT_TRUE(saw_incremental);
   EXPECT_EQ(session.stats().updates_completed,
             static_cast<std::uint64_t>(chunks));
+  EXPECT_EQ(session.stats().cache_hits, 0u);
   if constexpr (obs::kEnabled) {
     const std::string name =
         backend == exec::BackendSpec::Kind::kHostScalar
@@ -296,8 +341,10 @@ TEST(SubApertureCache, EvictsLeastRecentlyUsed) {
   cfg.image = 24;
   cfg.pulses = 8;
   const SmallScenario s = make_scenario(cfg);
-  const sim::PhaseHistory c1 = slice(s.history, 0, 4);
-  const sim::PhaseHistory c2 = slice(s.history, 4, 8);
+  const auto c1 =
+      std::make_shared<const sim::PhaseHistory>(slice(s.history, 0, 4));
+  const auto c2 =
+      std::make_shared<const sim::PhaseHistory>(slice(s.history, 4, 8));
   const Region region{0, 0, cfg.image, cfg.image};
 
   obs::Registry reg;
@@ -306,15 +353,15 @@ TEST(SubApertureCache, EvictsLeastRecentlyUsed) {
   config.metrics = &reg;
   SubApertureCache cache(config);
 
-  const auto k1 = cache.make_key(s.grid, region, 16, 16, c1);
-  const auto k2 = cache.make_key(s.grid, region, 16, 16, c2);
+  const auto k1 = cache.make_key(s.grid, region, 16, 16, *c1);
+  const auto k2 = cache.make_key(s.grid, region, 16, 16, *c2);
   cache.insert(k1, c1, std::make_shared<bp::SoaTile>(cfg.image, cfg.image));
-  EXPECT_NE(cache.find(k1, c1), nullptr);
+  EXPECT_NE(cache.find(k1, *c1), nullptr);
 
   cache.insert(k2, c2, std::make_shared<bp::SoaTile>(cfg.image, cfg.image));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.find(k1, c1), nullptr);  // evicted
-  EXPECT_NE(cache.find(k2, c2), nullptr);
+  EXPECT_EQ(cache.find(k1, *c1), nullptr);  // evicted
+  EXPECT_NE(cache.find(k2, *c2), nullptr);
   EXPECT_EQ(reg.counter("streaming.cache.evictions").value(), 1u);
 }
 
@@ -323,8 +370,10 @@ TEST(SubApertureCache, SignatureCollisionServedAsMiss) {
   cfg.image = 24;
   cfg.pulses = 8;
   const SmallScenario s = make_scenario(cfg);
-  const sim::PhaseHistory c1 = slice(s.history, 0, 4);
-  const sim::PhaseHistory c2 = slice(s.history, 4, 8);
+  const auto c1 =
+      std::make_shared<const sim::PhaseHistory>(slice(s.history, 0, 4));
+  const auto c2 =
+      std::make_shared<const sim::PhaseHistory>(slice(s.history, 4, 8));
   const Region region{0, 0, cfg.image, cfg.image};
 
   obs::Registry reg;
@@ -336,14 +385,78 @@ TEST(SubApertureCache, SignatureCollisionServedAsMiss) {
   };
   SubApertureCache cache(config);
 
-  const auto k1 = cache.make_key(s.grid, region, 16, 16, c1);
-  const auto k2 = cache.make_key(s.grid, region, 16, 16, c2);
+  const auto k1 = cache.make_key(s.grid, region, 16, 16, *c1);
+  const auto k2 = cache.make_key(s.grid, region, 16, 16, *c2);
   EXPECT_EQ(k1.pulse_signature, k2.pulse_signature);
 
   cache.insert(k1, c1, std::make_shared<bp::SoaTile>(cfg.image, cfg.image));
-  EXPECT_EQ(cache.find(k2, c2), nullptr);  // fingerprint mismatch
+  EXPECT_EQ(cache.find(k2, *c2), nullptr);  // a different chunk
   EXPECT_EQ(reg.counter("streaming.cache.collisions").value(), 1u);
-  EXPECT_NE(cache.find(k1, c1), nullptr);  // the real owner still hits
+  EXPECT_NE(cache.find(k1, *c1), nullptr);  // the real owner still hits
+}
+
+/// Same pulse geometry, different samples: the plan key matches (it hashes
+/// geometry only), the partial does not, so the lookup must miss.
+TEST(SubApertureCache, SampleMismatchServedAsMiss) {
+  ScenarioConfig cfg;
+  cfg.image = 24;
+  cfg.pulses = 4;
+  const SmallScenario s = make_scenario(cfg);
+  const auto chunk = std::make_shared<const sim::PhaseHistory>(s.history);
+  sim::PhaseHistory edited = s.history;
+  edited.pulse(2)[5] += CFloat(1.0f, 0.0f);
+  const Region region{0, 0, cfg.image, cfg.image};
+
+  obs::Registry reg;
+  SubApertureCacheConfig config;
+  config.metrics = &reg;
+  SubApertureCache cache(config);
+  const auto key = cache.make_key(s.grid, region, 16, 16, *chunk);
+  EXPECT_EQ(cache.make_key(s.grid, region, 16, 16, edited), key);
+
+  cache.insert(key, chunk, std::make_shared<bp::SoaTile>(cfg.image, cfg.image));
+  EXPECT_EQ(cache.find(key, edited), nullptr);
+  EXPECT_EQ(reg.counter("streaming.cache.collisions").value(), 1u);
+  EXPECT_NE(cache.find(key, sim::PhaseHistory(s.history)), nullptr);
+}
+
+/// Two sessions share a cache over identical trajectories, but B's samples
+/// are doubled: B must sweep every chunk itself and form its own image.
+TEST(SubApertureCache, SharedCacheServesOnlyTheSameSamples) {
+  ScenarioConfig cfg;
+  cfg.image = 32;
+  cfg.pulses = 24;
+  const SmallScenario s = make_scenario(cfg);
+  sim::PhaseHistory doubled = s.history;
+  for (Index p = 0; p < doubled.num_pulses(); ++p) {
+    for (CFloat& v : doubled.pulse(p)) v *= 2.0f;
+  }
+
+  service::ServiceConfig sc;
+  sc.workers = 2;
+  service::ImageFormationService srv(sc);
+  SubApertureCache cache;
+
+  StreamConfig config;
+  config.grid = s.grid;
+  config.asr_block_w = config.asr_block_h = 16;
+  config.chunk_pulses = 4;
+  config.window_chunks = 6;
+  config.reanchor_interval = 0;
+  config.cache = &cache;
+
+  StreamSession a = open_stream(srv, config);
+  ASSERT_TRUE(a.push(s.history));
+  ASSERT_TRUE(a.wait_for_update(6, kWait));
+  ASSERT_TRUE(a.wait_idle(kWait));
+
+  StreamSession b = open_stream(srv, config);
+  ASSERT_TRUE(b.push(doubled));
+  ASSERT_TRUE(b.wait_for_update(6, kWait));
+  ASSERT_TRUE(b.wait_idle(kWait));
+  EXPECT_EQ(b.stats().cache_hits, 0u);
+  EXPECT_GT(snr_db(b.latest()->image, reform_window(config, b.window_history())),
+            70.0);
 }
 
 // --- cancellation and deadlines mid-update -------------------------------
@@ -487,6 +600,46 @@ TEST(StreamingLifecycle, CloseStopsIngestionButDrains) {
   EXPECT_FALSE(session.push(slice(s.history, 8, 16)));
   ASSERT_TRUE(session.wait_idle(kWait));
   EXPECT_EQ(session.stats().updates_completed, 1u);
+}
+
+/// A closed, idle session is freed with everything it holds: after the
+/// service drains and the cache is cleared, nothing keeps a chunk partial.
+TEST(StreamingLifecycle, ClosedSessionReleasesItsPartials) {
+  ScenarioConfig cfg;
+  cfg.image = 32;
+  cfg.pulses = 8;
+  const SmallScenario s = make_scenario(cfg);
+
+  service::ServiceConfig sc;
+  sc.workers = 2;
+  service::ImageFormationService srv(sc);
+  SubApertureCache cache;
+
+  StreamConfig config;
+  config.grid = s.grid;
+  config.asr_block_w = config.asr_block_h = 16;
+  config.chunk_pulses = 4;
+  config.window_chunks = 2;
+  config.cache = &cache;
+
+  std::weak_ptr<const bp::SoaTile> partial;
+  {
+    StreamSession session = open_stream(srv, config);
+    ASSERT_TRUE(session.push(s.history));
+    ASSERT_TRUE(session.wait_for_update(2, kWait));
+    const sim::PhaseHistory first = slice(s.history, 0, 4);
+    partial = cache.find(cache.make_key(config.grid,
+                                        Region{0, 0, cfg.image, cfg.image},
+                                        config.asr_block_w,
+                                        config.asr_block_h, first),
+                         first);
+    ASSERT_FALSE(partial.expired());
+    session.close();
+    ASSERT_TRUE(session.wait_idle(kWait));
+  }
+  srv.drain();  // joins the workers: no update group is left alive
+  cache.clear();
+  EXPECT_TRUE(partial.expired());
 }
 
 TEST(StreamingLifecycle, InconsistentSamplingRejected) {
